@@ -13,7 +13,7 @@ Modules:
 
 __version__ = "0.1.0"
 
-from . import cli, dynamics, medium, modes, pointgas, propagator, qops, regime
+from . import dynamics, medium, modes, pointgas, propagator, qops, regime
 from .errors import AtomLightError
 
 __all__ = ["AtomLightError", "cli", "dynamics", "medium", "modes",

@@ -44,12 +44,12 @@ import scipy
 
 from . import __version__
 from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
-                       collective_map_matrix, is_symplectic, memory_protocol,
+                       collective_map_matrix, memory_protocol,
                        paraxial_stokes_map, symplectic_form)
 from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
 from .pointgas import density_correlation, sample_cloud, spawn_rngs
 from .propagator import short_propagator_closed, short_propagator_quadrature
-from .regime import (Scenario, check_fresnel, check_light_series,
+from .regime import (Scenario, check_fresnel_basis, check_light_series,
                      check_spin_series, fresnel_number)
 
 ANALYSES = ("rho-coefficients", "stokes-map", "memory-protocol",
@@ -259,9 +259,7 @@ def _analysis_regime(cfg: dict):
     light = check_light_series(sc)
     spin = check_spin_series(sc)
     F = fresnel_number(sc.wavelength, sc.transverse_size, sc.length)
-    max_order = int(cfg["modes"]["max_order"])
-    fres = [check_fresnel(F, m, n)
-            for m in range(max_order + 1) for n in range(max_order + 1 - m)]
+    fres = check_fresnel_basis(F, int(cfg["modes"]["max_order"]))
     rows = []
     for group, report in (("light", light.checks), ("spin", spin.checks),
                           ("fresnel", fres)):

@@ -14,7 +14,7 @@ variance is 1/2, [X, P] = i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,13 +52,11 @@ class QuadratureOrdering:
 
 def symplectic_form(ordering: QuadratureOrdering) -> np.ndarray:
     """Matrix Omega with [q_a, q_b] = i * Omega[a, b]."""
+    light, atom = np.arange(ordering.n_light), np.arange(ordering.n_atom)
+    X = np.r_[ordering.X_P(light), ordering.X_A(atom)]
+    P = np.r_[ordering.P_P(light), ordering.P_A(atom)]
     O = np.zeros((ordering.dim, ordering.dim))
-    for i in range(ordering.n_light):
-        O[ordering.X_P(i), ordering.P_P(i)] = 1.0
-        O[ordering.P_P(i), ordering.X_P(i)] = -1.0
-    for i in range(ordering.n_atom):
-        O[ordering.X_A(i), ordering.P_A(i)] = 1.0
-        O[ordering.P_A(i), ordering.X_A(i)] = -1.0
+    O[X, P], O[P, X] = 1.0, -1.0
     return O
 
 
@@ -217,14 +215,13 @@ def collective_commutator_matrix(modes, grid, rho: float, J_x: float,
     """
     from .modes import hermite_gauss_eval
     norm2 = collective_mode_norm(rho, J_x, L)**2
-    n = len(modes)
-    C = np.zeros((n, n), dtype=complex)
-    U = [hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes]
-    for m in range(n):
-        for nn in range(n):
-            C[m, nn] = norm2 * (J_x / rho) * L \
-                * grid.integrate(np.conj(U[m]) * U[nn])
-    return C
+    U = np.stack([hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes])
+    # Trapezoid weights of grid.integrate: one product over the flattened
+    # grid, without holding every pairwise U_m^* U_n on the grid at once.
+    wx, wy = (np.trapezoid(np.eye(v.size), v, axis=0) for v in (grid.x, grid.y))
+    flat = U.reshape(len(modes), -1)
+    overlaps = (np.conj(flat) * np.outer(wx, wy).ravel()) @ flat.T
+    return norm2 * (J_x / rho) * L * overlaps
 
 
 def kappa_coupling(k_L: float, beta: float, c1: float, U_o: float,
@@ -389,12 +386,6 @@ class LocalFrames:
             validate_frame(*triad)
 
 
-def _local_J(Jy: float, Jz: float, e) -> float:
-    """(0, Jy, Jz) . e in the lab basis."""
-    e = np.asarray(e, dtype=float)
-    return Jy * e[1] + Jz * e[2]
-
-
 def beyond_paraxial_light_increments(Psi_o: np.ndarray, rho_w: np.ndarray,
                                      Jy: np.ndarray, Jz: np.ndarray,
                                      frames: LocalFrames, n_photons: float,
@@ -409,19 +400,15 @@ def beyond_paraxial_light_increments(Psi_o: np.ndarray, rho_w: np.ndarray,
     """
     Psi_o = np.asarray(Psi_o, dtype=complex)
     rho_w = np.asarray(rho_w, dtype=float)
-    Jy = np.asarray(Jy, dtype=float)
-    Jz = np.asarray(Jz, dtype=float)
+    Jy, Jz = np.asarray(Jy, dtype=float), np.asarray(Jz, dtype=float)
     e_ox, _, e_oz = (np.asarray(v, dtype=float) for v in frames.classical)
     pref = k_L * beta * c1 * np.sqrt(n_photons / 2.0)
-    n_modes = Psi_o.shape[0]
-    dX = np.zeros(n_modes)
-    dP = np.zeros(n_modes)
-    for m in range(n_modes):
-        e_mx, _, e_mz = (np.asarray(v, dtype=float) for v in frames.quantum[m])
-        factor = (_local_J(Jy, Jz, e_oz) * float(e_ox @ e_mx)
-                  - _local_J(Jy, Jz, e_ox) * float(e_ox @ e_mz))
-        dX[m] = pref * float(np.sum(rho_w * np.real(Psi_o[m]) * factor))
-        dP[m] = pref * float(np.sum(rho_w * np.imag(Psi_o[m]) * factor))
+    ex, _, ez = np.asarray(frames.quantum[:len(Psi_o)], dtype=float).transpose(1, 0, 2)
+    # (0, Jy, Jz) . e_oz and (0, Jy, Jz) . e_ox at every sample point
+    J_oz, J_ox = (Jy * e[1] + Jz * e[2] for e in (e_oz, e_ox))
+    factor = np.outer(ex @ e_ox, J_oz) - np.outer(ez @ e_ox, J_ox)
+    dX = pref * np.sum(rho_w * np.real(Psi_o) * factor, axis=1)
+    dP = pref * np.sum(rho_w * np.imag(Psi_o) * factor, axis=1)
     return dX, dP
 
 
@@ -434,9 +421,7 @@ def beyond_paraxial_spin_increment(Psi_o_at_r: np.ndarray, X: np.ndarray,
     J = np.asarray(J_at_r, dtype=float)
     e_ox = np.asarray(frames.classical[0], dtype=float)
     pref = k_L * beta * c1 * np.sqrt(n_photons / 2.0)
-    out = np.zeros(3)
-    for n in range(Psi.size):
-        e_ny = np.asarray(frames.quantum[n][1], dtype=float)
-        axis = np.cross(J, np.cross(e_ox, e_ny))
-        out += pref * (np.real(Psi[n]) * P[n] - np.imag(Psi[n]) * X[n]) * axis
-    return out
+    e_y = np.asarray(frames.quantum[:Psi.size], dtype=float)[:, 1]
+    axes = np.cross(J, np.cross(e_ox, e_y))
+    weights = np.real(Psi) * np.asarray(P) - np.imag(Psi) * np.asarray(X)
+    return pref * (weights @ axes)

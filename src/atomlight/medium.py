@@ -14,7 +14,7 @@ carries the dimensional content (a volume).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

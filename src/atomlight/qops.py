@@ -13,12 +13,24 @@ The ensemble enters through volume-integrated overlap weights
 
 with Psi[m,n] = U_m^* U_n; in the paraxial frames used here the local
 e_z projection is just Jz(r).
+
+Basis index (m, j) -> 2 m + j with polarization j in (x, y) = (0, 1).
+The coefficients of the generator orders are built as dense tensors
+with index order (m, j, m', j', n, l, n', l'): the operator keyed by
+((m, j), (m', j')) has coefficient [(n, l), (n', l')].  Their
+polarization structure is the antisymmetric factor
+
+    XI[j, l] = delta_lx delta_jy - delta_jx delta_ly = [[0, -1], [1, 0]],
+
+the identity np.eye(2), and, in S2_B, the product XI @ XI = -I that
+removes the inner polarization sum.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +40,8 @@ from .modes import TransverseGrid, hermite_gauss_eval
 HERMITICITY_TOL = 1e-13
 
 POLS = ("x", "y")
+
+XI = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -104,12 +118,6 @@ def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
                              label=f"[{A.label},{B.label}]")
 
 
-def _elementary(basis: PolarizedModeBasis, p: int, q: int) -> np.ndarray:
-    c = np.zeros((basis.dim, basis.dim), dtype=complex)
-    c[p, q] = 1.0
-    return c
-
-
 def stokes_mode_pair(basis: PolarizedModeBasis, m: int, m_prime: int):
     """Zeroth-order Stokes triple for the pair (m, x) and (m', y).
 
@@ -119,9 +127,10 @@ def stokes_mode_pair(basis: PolarizedModeBasis, m: int, m_prime: int):
     """
     px = basis.index(m, "x")
     py = basis.index(m_prime, "y")
-    s1 = 0.5 * (_elementary(basis, px, px) - _elementary(basis, py, py))
-    s2 = 0.5 * (_elementary(basis, px, py) + _elementary(basis, py, px))
-    s3 = (0.5 / 1j) * (_elementary(basis, px, py) - _elementary(basis, py, px))
+    s1, s2, s3 = np.zeros((3, basis.dim, basis.dim), dtype=complex)
+    s1[px, px], s1[py, py] = 0.5, -0.5
+    s2[px, py] = s2[py, px] = 0.5
+    s3[px, py], s3[py, px] = 0.5 / 1j, -0.5 / 1j
     return (QuadraticOperator(basis, s1, f"s1^{m}{m_prime}"),
             QuadraticOperator(basis, s2, f"s2^{m}{m_prime}"),
             QuadraticOperator(basis, s3, f"s3^{m}{m_prime}"))
@@ -144,9 +153,7 @@ class StokesField:
 
     def integrate(self, which: str) -> QuadraticOperator:
         """Transverse integral int s_i(r_perp) d2r as a single operator."""
-        f = getattr(self, which)
-        coeff = np.trapezoid(np.trapezoid(f, self.grid.y, axis=1),
-                             self.grid.x, axis=0)
+        coeff = self.grid.integrate(getattr(self, which))
         return QuadraticOperator(self.basis, coeff, label=f"int {which}")
 
 
@@ -159,25 +166,11 @@ def stokes_field(basis: PolarizedModeBasis, modes, grid: TransverseGrid,
     if len(modes) != basis.n_modes:
         raise BasisMismatch("mode list length does not match basis")
     U = np.stack([hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes])
-    nx, ny = grid.x.size, grid.y.size
-    D = basis.dim
-    s0 = np.zeros((nx, ny, D, D), dtype=complex)
-    s1 = np.zeros_like(s0)
-    s2 = np.zeros_like(s0)
-    s3 = np.zeros_like(s0)
-    for m in range(basis.n_modes):
-        for mp in range(basis.n_modes):
-            w = np.conj(U[m]) * U[mp]            # Psi[m, mp] on the grid
-            mx, my = basis.index(m, "x"), basis.index(m, "y")
-            px, py = basis.index(mp, "x"), basis.index(mp, "y")
-            s0[:, :, mx, px] += 0.5 * w
-            s0[:, :, my, py] += 0.5 * w
-            s1[:, :, mx, px] += 0.5 * w
-            s1[:, :, my, py] -= 0.5 * w
-            s2[:, :, mx, py] += 0.5 * w
-            s2[:, :, my, px] += 0.5 * w
-            s3[:, :, mx, py] += 0.5 / 1j * w
-            s3[:, :, my, px] -= 0.5 / 1j * w
+    # Psi[m, m'] on the grid times (1, sigma_z, sigma_x, sigma_y)[j, j'] / 2.
+    pol = 0.5 * np.array([np.eye(2), [[1, 0], [0, -1]], [[0, 1], [1, 0]],
+                          [[0, -1j], [1j, 0]]])
+    s = np.einsum("mxy,Mxy,sjJ->sxymjMJ", U.conj(), U, pol, order="C")
+    s0, s1, s2, s3 = s.reshape(4, grid.x.size, grid.y.size, basis.dim, basis.dim)
     return StokesField(basis=basis, grid=grid, s0=s0, s1=s1, s2=s2, s3=s3)
 
 
@@ -191,10 +184,18 @@ class SpinTermResult:
     label: str = ""
 
 
-def _xi(j: str, l: str) -> float:
-    """Antisymmetric polarization factor delta_lx delta_jy - delta_jx delta_ly."""
-    return (1.0 if (l, j) == ("x", "y") else 0.0) \
-        - (1.0 if (j, l) == ("x", "y") else 0.0)
+def _kron(a, b, c, d) -> np.ndarray:
+    """Dense tensor a[m, n] b[j, l] c[m', n'] d[j', l'] in module index order."""
+    return np.einsum("mn,jl,MN,JL->mjMJnlNL", a, b, c, d)
+
+
+def _operator_dict(basis: PolarizedModeBasis, T: np.ndarray, name: str) -> dict:
+    """Key the dense tensor T, reshaped to (D, D, D, D), by ((m, j), (m', j'))."""
+    T = T.reshape((basis.dim,) * 4)
+    labels = list(enumerate(basis.labels()))
+    return {(q, qp): QuadraticOperator(basis, T[p, pp],
+                                       label=f"{name}[{q[0]}{q[1]},{qp[0]}{qp[1]}]")
+            for (p, q), (pp, qp) in itertools.product(labels, repeat=2)}
 
 
 def stokes_first_order(basis: PolarizedModeBasis, W: np.ndarray,
@@ -206,24 +207,10 @@ def stokes_first_order(basis: PolarizedModeBasis, W: np.ndarray,
     QuadraticOperator increment of K<f_q|S^(1)|f_q'>.
     """
     W = np.asarray(W, dtype=complex)
+    I_M, I2 = np.eye(basis.n_modes), np.eye(2)
     pref = k_L * c1 * beta * 0.5
-    out = {}
-    for (m, j) in basis.labels():
-        for (mp, jp) in basis.labels():
-            coeff = np.zeros((basis.dim, basis.dim), dtype=complex)
-            for n in range(basis.n_modes):
-                for l in POLS:
-                    f1 = _xi(j, l)
-                    if f1 != 0.0:
-                        coeff[basis.index(n, l), basis.index(mp, jp)] += \
-                            pref * np.conj(W[m, n]) * f1
-                    f2 = _xi(jp, l)
-                    if f2 != 0.0:
-                        coeff[basis.index(m, j), basis.index(n, l)] += \
-                            pref * W[mp, n] * f2
-            out[((m, j), (mp, jp))] = QuadraticOperator(
-                basis, coeff, label=f"S1[{m}{j},{mp}{jp}]")
-    return out
+    T = pref * (_kron(W.conj(), XI, I_M, I2) + _kron(I_M, I2, W, XI))
+    return _operator_dict(basis, T, "S1")
 
 
 def stokes_second_order_terms(basis: PolarizedModeBasis, W: np.ndarray,
@@ -243,54 +230,19 @@ def stokes_second_order_terms(basis: PolarizedModeBasis, W: np.ndarray,
     identically for polarization indices in {x, y}; see s2c_coefficient.
     """
     W = np.asarray(W, dtype=complex)
-    A = {}
-    B = {}
-    D = {}
-    for (m, j) in basis.labels():
-        for (mp, jp) in basis.labels():
-            key = ((m, j), (mp, jp))
-            ca = np.zeros((basis.dim, basis.dim), dtype=complex)
-            cb = np.zeros_like(ca)
-            for n in range(basis.n_modes):
-                for l in POLS:
-                    for n2 in range(basis.n_modes):
-                        for l2 in POLS:
-                            fa = _xi(j, l) * _xi(jp, l2)
-                            if fa != 0.0:
-                                ca[basis.index(n, l), basis.index(n2, l2)] += \
-                                    (0.5 * k_L * beta * c1)**2 * fa \
-                                    * np.conj(W[m, n]) * W[mp, n2]
-                            fb1 = _xi(j, l) * _xi(l, l2)
-                            if fb1 != 0.0:
-                                cb[basis.index(n2, l2), basis.index(mp, jp)] += \
-                                    0.125 * (k_L * beta * c1)**2 * fb1 \
-                                    * np.conj(W[m, n]) * np.conj(W[n, n2])
-                            fb2 = _xi(jp, l) * _xi(l, l2)
-                            if fb2 != 0.0:
-                                cb[basis.index(m, j), basis.index(n2, l2)] += \
-                                    0.125 * (k_L * beta * c1)**2 * fb2 \
-                                    * W[mp, n] * W[n, n2]
-            A[key] = QuadraticOperator(basis, ca, label=f"S2_A[{m}{j},{mp}{jp}]")
-            B[key] = QuadraticOperator(basis, cb, label=f"S2_B[{m}{j},{mp}{jp}]")
-            if quartic_weights is not None:
-                cd = np.zeros_like(ca)
-                Q = quartic_weights
-                for n in range(basis.n_modes):
-                    for l in POLS:
-                        for n2 in range(basis.n_modes):
-                            for l2 in POLS:
-                                wz, w4 = Q[n, m, mp, n2]
-                                val = (c1**2 * wz * _xi(j, l) * _xi(jp, l2)
-                                       + c0**2 * w4
-                                       * (1.0 if j == l else 0.0)
-                                       * (1.0 if jp == l2 else 0.0))
-                                cd[basis.index(n, l), basis.index(n2, l2)] += \
-                                    (0.5 * k_L * beta)**2 * val
-                D[key] = QuadraticOperator(basis, cd,
-                                           label=f"S2_D[{m}{j},{mp}{jp}]")
-    out = {"S2_A": A, "S2_B": B}
+    Wc, I_M, I2 = W.conj(), np.eye(basis.n_modes), np.eye(2)
+    A = (0.5 * k_L * beta * c1)**2 * _kron(Wc, XI, W, XI)
+    # sum_l xi_jl xi_ll' = (XI @ XI)[j, l'] = -delta_jl'
+    B = -0.125 * (k_L * beta * c1)**2 * (_kron(Wc @ Wc, I2, I_M, I2)
+                                         + _kron(I_M, I2, W @ W, I2))
+    out = {"S2_A": _operator_dict(basis, A, "S2_A"),
+           "S2_B": _operator_dict(basis, B, "S2_B")}
     if quartic_weights is not None:
-        out["S2_D"] = D
+        # (Jz^2, J^4) weights pair with (c1 xi_jl xi_j'l', c0 delta_jl delta_j'l')
+        pol = np.array([c1 * XI, c0 * I2])
+        Dt = (0.5 * k_L * beta)**2 * np.einsum("nmMNa,ajl,aJL->mjMJnlNL",
+                                               quartic_weights, pol, pol)
+        out["S2_D"] = _operator_dict(basis, Dt, "S2_D")
     return out
 
 
@@ -325,12 +277,11 @@ def spin_first_order(basis: PolarizedModeBasis, Psi_at_r: np.ndarray,
     Psi_at_r = np.asarray(Psi_at_r, dtype=complex)
     direction = np.cross(np.asarray(J_at_r, dtype=float),
                          np.asarray(e_z, dtype=float))
-    total = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for m in range(basis.n_modes):
-        for mp in range(basis.n_modes):
-            _, s2, s3 = stokes_mode_pair(basis, m, mp)
-            total += (np.real(Psi_at_r[m, mp]) * s3.coeff
-                      + np.imag(Psi_at_r[m, mp]) * s2.coeff)
+    # Re[Psi] s3 + Im[Psi] s2 summed over the pairs (m, x), (m', y).
+    total = np.zeros((basis.n_modes, 2) * 2, dtype=complex)
+    total[:, 0, :, 1] = -0.5j * Psi_at_r
+    total[:, 1, :, 0] = 0.5j * Psi_at_r.conj().T
+    total = total.reshape(basis.dim, basis.dim)
     value = -beta * c1 * k_L * direction[:, None, None] * total[None, :, :]
     return SpinTermResult(basis=basis, value=value, order=1, label="J1")
 
@@ -353,9 +304,8 @@ def spin_second_order_A_single_mode(basis: PolarizedModeBasis,
     # sum_m Im[Psi^{mo}(r) Psi^{om}(r')]
     weight = float(np.sum(np.imag(Psi_r[:, o] * Psi_rp[o, :])))
     coeff = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for pol in POLS:
-        p = basis.index(o, pol)
-        coeff[p, p] += 1.0
+    p = [basis.index(o, pol) for pol in POLS]
+    coeff[p, p] = 1.0
     pref = (0.5 * beta * c1 * k_L)**2 * rho_rp * Jz_local_rp * weight
     value = pref * direction[:, None, None] * coeff[None, :, :]
     return SpinTermResult(basis=basis, value=value, order=2, label="J2_A")
@@ -377,22 +327,12 @@ def spin_second_order_B(basis: PolarizedModeBasis, Psi_products: np.ndarray,
     J_bar = np.asarray(J_bar, dtype=float)
     e_z = np.asarray(e_z, dtype=float)
     direction = J_bar - e_z * float(J_bar @ e_z)
-    D = basis.dim
-    M = basis.n_modes
-    T = np.zeros((D, D, D, D), dtype=complex)
-    pref = -0.5 * (0.5 * beta * c1 * k_L)**2
-    for m in range(M):
-        for n in range(M):
-            for mp in range(M):
-                for np_ in range(M):
-                    w = pref * P[m, n, mp, np_]
-                    T[basis.index(m, "x"), basis.index(mp, "y"),
-                      basis.index(n, "y"), basis.index(np_, "x")] += 2.0 * w
-                    T[basis.index(m, "y"), basis.index(mp, "y"),
-                      basis.index(n, "x"), basis.index(np_, "x")] -= w
-                    T[basis.index(m, "x"), basis.index(mp, "x"),
-                      basis.index(n, "y"), basis.index(np_, "y")] -= w
-    return direction, T
+    w = -0.5 * (0.5 * beta * c1 * k_L)**2 * P.transpose(0, 2, 1, 3)
+    T = np.zeros((basis.n_modes, 2) * 4, dtype=complex)
+    T[:, 0, :, 1, :, 1, :, 0] = 2.0 * w
+    T[:, 1, :, 1, :, 0, :, 0] = -w
+    T[:, 0, :, 0, :, 1, :, 1] = -w
+    return direction, T.reshape((basis.dim,) * 4)
 
 
 def spin_incoherent_rate(A_minus: np.ndarray, intensity: np.ndarray,
@@ -427,8 +367,5 @@ def export_operator_csv(path, op: QuadraticOperator) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "Re", "Im"])
-        D = op.basis.dim
-        for p in range(D):
-            for q in range(D):
-                v = op.coeff[p, q]
-                writer.writerow([p, q, repr(float(v.real)), repr(float(v.imag))])
+        writer.writerows([p, q, repr(float(v.real)), repr(float(v.imag))]
+                         for (p, q), v in np.ndenumerate(op.coeff))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 THRESHOLD = 0.1
 OD_CONSISTENCY = 0.2
@@ -164,7 +164,7 @@ def check_fresnel(F: float, m: int, n: int) -> RegimeCheck:
                        threshold=1.0, passed=bool(value <= 1.0))
 
 
-def check_fresnel_basis(F: float, max_order: int) -> RegimeReport | list:
+def check_fresnel_basis(F: float, max_order: int) -> list[RegimeCheck]:
     """Fresnel checks for every Hermite-Gauss mode with m + n <= max_order."""
     return [check_fresnel(F, m, n)
             for m in range(max_order + 1)

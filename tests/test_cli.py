@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import atomlight
 from atomlight.cli import load_config, main
 from atomlight.errors import BadParameterPath, ConfigInvalid
 from atomlight.cli import _resolve_path, sweep
@@ -170,3 +175,19 @@ class TestSweep:
         diffs = np.diff(gammas)
         assert np.all(diffs < 0.0) or np.all(diffs > 0.0)
         assert max(devs) < 1e-10
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_without_runtime_warning(self):
+        # runpy warns (RuntimeWarning) when the package imports atomlight.cli
+        # before it is executed as __main__.
+        src = str(Path(atomlight.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "atomlight.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage" in proc.stdout

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from atomlight.errors import BasisMismatch
-from atomlight.modes import HermiteGaussMode, make_grid
-from atomlight.qops import (PolarizedModeBasis, QuadraticOperator, commutator,
+from atomlight.modes import HermiteGaussMode, hermite_gauss_eval, make_grid
+from atomlight.qops import (POLS, PolarizedModeBasis, QuadraticOperator, commutator,
                             s2c_coefficient, spin_first_order,
                             spin_incoherent_rate, spin_second_order_B,
                             spin_second_order_A_single_mode, stokes_field,
@@ -230,3 +230,190 @@ class TestSpinTerms:
         with_cross = spin_incoherent_rate(A, intensity, J, 2.0, 0.8, 0.05)
         without = spin_incoherent_rate(A, intensity, J, 0.0, 0.8, 0.05)
         assert np.max(np.abs(with_cross - without)) < 1e-12
+
+
+class TestMultimodeEntries:
+    """Every entry at M = 3 against the per-entry formulas of the docstrings.
+
+    Basis index (m, j) -> 2 m + j with j in {x, y}; xi(j, l) =
+    delta_lx delta_jy - delta_jx delta_ly.  Each expected entry is
+    evaluated on its own index tuple, without array algebra.
+    """
+
+    M = 3
+    K_L, BETA, C1, C0 = 1.7, 0.6, 0.9, 0.4
+    # Array code may sum in another order than the formulas: allow a few
+    # ulp of the largest expected entry.
+    ULPS = 8
+
+    @staticmethod
+    def xi(j, l):
+        return float(l == "x" and j == "y") - float(j == "x" and l == "y")
+
+    @staticmethod
+    def delta(a, b):
+        return float(a == b)
+
+    @classmethod
+    def setup_class(cls):
+        rng = np.random.default_rng(20071)
+        M = cls.M
+        A = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+        cls.W = A + A.conj().T
+        cls.Q = rng.normal(size=(M, M, M, M, 2))
+        cls.Psi = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+        cls.P4 = rng.normal(size=(M,) * 4) + 1j * rng.normal(size=(M,) * 4)
+        cls.J = rng.normal(size=3)
+        cls.basis = PolarizedModeBasis(n_modes=M, k=1.0)
+        cls.labels = cls.basis.labels()
+
+    def entries(self):
+        """Every ((m, j), (m', j'), (n, l), (n', l')) with its matrix slot."""
+        idx = self.basis.index
+        for q, qp, r, rp in itertools.product(self.labels, repeat=4):
+            yield q, qp, r, rp, (idx(*r), idx(*rp))
+
+    def assert_close(self, got, expect):
+        got, expect = np.asarray(got), np.asarray(expect)
+        scale = np.max(np.abs(expect))
+        assert scale > 0.0
+        assert np.max(np.abs(got - expect)) \
+            <= self.ULPS * np.finfo(float).eps * scale
+
+    def assert_entries(self, ops, formula):
+        assert set(ops) == set(itertools.product(self.labels, repeat=2))
+        got, expect = [], []
+        for q, qp, r, rp, slot in self.entries():
+            got.append(ops[(q, qp)].coeff[slot])
+            expect.append(formula(q, qp, r, rp))
+        self.assert_close(got, expect)
+
+    def test_first_order(self):
+        W, xi, d = self.W, self.xi, self.delta
+        pref = self.K_L * self.BETA * self.C1 / 2
+
+        def formula(q, qp, r, rp):
+            (m, j), (mp, jp), (n, l), (n2, l2) = q, qp, r, rp
+            return pref * (np.conj(W[m, n]) * xi(j, l) * d(n2, mp) * d(l2, jp)
+                           + d(n, m) * d(l, j) * W[mp, n2] * xi(jp, l2))
+
+        G = stokes_first_order(self.basis, W, self.K_L, self.BETA, self.C1)
+        self.assert_entries(G, formula)
+        assert G[((1, "x"), (2, "y"))].label == "S1[1x,2y]"
+
+    def second_order(self):
+        return stokes_second_order_terms(self.basis, self.W, self.K_L,
+                                         self.BETA, self.C1, c0=self.C0,
+                                         quartic_weights=self.Q)
+
+    def test_second_order_A(self):
+        W, xi = self.W, self.xi
+        pref = (self.K_L * self.BETA * self.C1 / 2)**2
+
+        def formula(q, qp, r, rp):
+            (m, j), (mp, jp), (n, l), (n2, l2) = q, qp, r, rp
+            return (pref * xi(j, l) * xi(jp, l2)
+                    * np.conj(W[m, n]) * W[mp, n2])
+
+        self.assert_entries(self.second_order()["S2_A"], formula)
+
+    def test_second_order_B(self):
+        # S2_B[(m,j),(m',j')][(n,l),(n',l')] = (k beta c1)^2 / 8 *
+        #   { delta_(n',l'),(m',j') sum_(k,p) xi_jp xi_pl W*[m,k] W*[k,n]
+        #   + delta_(n,l),(m,j) sum_(k,p) xi_j'p xi_pl' W[m',k] W[k,n'] }
+        W, xi, d = self.W, self.xi, self.delta
+        pref = (self.K_L * self.BETA * self.C1)**2 / 8
+        inner = list(itertools.product(range(self.M), POLS))
+
+        def formula(q, qp, r, rp):
+            (m, j), (mp, jp), (n, l), (n2, l2) = q, qp, r, rp
+            left = sum(xi(j, p) * xi(p, l) * np.conj(W[m, k] * W[k, n])
+                       for k, p in inner)
+            right = sum(xi(jp, p) * xi(p, l2) * W[mp, k] * W[k, n2]
+                        for k, p in inner)
+            return pref * (d(n2, mp) * d(l2, jp) * left
+                           + d(n, m) * d(l, j) * right)
+
+        self.assert_entries(self.second_order()["S2_B"], formula)
+
+    def test_second_order_D(self):
+        Q, xi, d = self.Q, self.xi, self.delta
+        pref = (self.K_L * self.BETA / 2)**2
+
+        def formula(q, qp, r, rp):
+            (m, j), (mp, jp), (n, l), (n2, l2) = q, qp, r, rp
+            wz, w4 = Q[n, m, mp, n2]
+            return pref * (self.C1**2 * wz * xi(j, l) * xi(jp, l2)
+                           + self.C0**2 * w4 * d(j, l) * d(jp, l2))
+
+        T = self.second_order()
+        self.assert_entries(T["S2_D"], formula)
+        assert T["S2_D"][(QX, QY)].label == "S2_D[0x,0y]"
+
+    def test_stokes_field(self):
+        k, w0 = 50.0, 1.0
+        modes = [HermiteGaussMode(0, 0, k, w0), HermiteGaussMode(1, 0, k, w0),
+                 HermiteGaussMode(0, 1, k, w0)]
+        grid = make_grid(w0, n=12)
+        z = 0.4
+        field = stokes_field(self.basis, modes, grid, z=z)
+        U = [hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes]
+        d = self.delta
+        # s_i = (1/2) U_m^* U_m' sigma_i[j, j'] with sigma = (1, z, x, y).
+        sigma = {"s0": lambda j, jp: d(j, jp),
+                 "s1": lambda j, jp: d(j, jp) * (1.0 if j == "x" else -1.0),
+                 "s2": lambda j, jp: 1.0 - d(j, jp),
+                 "s3": lambda j, jp: (1.0 - d(j, jp))
+                 * (-1j if j == "x" else 1j)}
+        idx = self.basis.index
+        got, expect = [], []
+        for name, sig in sigma.items():
+            f = getattr(field, name)
+            assert f.shape == (12, 12, 6, 6)
+            for (m, j), (mp, jp) in itertools.product(self.labels, repeat=2):
+                got.append(f[:, :, idx(m, j), idx(mp, jp)])
+                expect.append(0.5 * np.conj(U[m]) * U[mp] * sig(j, jp))
+        self.assert_close(got, expect)
+
+    def test_spin_first_order(self):
+        # T[(m,x),(m',y)] = -i/2 Psi[m,m'], T[(m',y),(m,x)] = i/2 Psi*[m,m'],
+        # J1 = -beta c1 k (J x e_z) T.
+        res = spin_first_order(self.basis, self.Psi, self.J, self.K_L,
+                               self.BETA, self.C1)
+        direction = np.cross(self.J, [0.0, 0.0, 1.0])
+        pref = -self.BETA * self.C1 * self.K_L
+        idx = self.basis.index
+        assert res.value.shape == (3, 6, 6)
+        got, expect = [], []
+        for (a, al), (b, be) in itertools.product(self.labels, repeat=2):
+            if (al, be) == ("x", "y"):
+                t = -0.5j * self.Psi[a, b]
+            elif (al, be) == ("y", "x"):
+                t = 0.5j * np.conj(self.Psi[b, a])
+            else:
+                t = 0.0
+            for c in range(3):
+                got.append(res.value[c, idx(a, al), idx(b, be)])
+                expect.append(pref * direction[c] * t)
+        self.assert_close(got, expect)
+
+    def test_spin_second_order_B(self):
+        # tensor[(m,.),(m',.),(n,.),(n',.)] = pref Psi^{mn} Psi^{m'n'} times
+        # 2 for (x, y, y, x), -1 for (y, y, x, x) and (x, x, y, y).
+        e_z = np.array([0.3, -0.4, np.sqrt(0.75)])
+        direction, T = spin_second_order_B(self.basis, self.P4, self.J,
+                                           self.K_L, self.BETA, self.C1,
+                                           e_z=e_z)
+        self.assert_close(direction, self.J - e_z * (self.J @ e_z))
+        pref = -0.5 * (0.5 * self.BETA * self.C1 * self.K_L)**2
+        weight = {("x", "y", "y", "x"): 2.0, ("y", "y", "x", "x"): -1.0,
+                  ("x", "x", "y", "y"): -1.0}
+        idx = self.basis.index
+        assert T.shape == (6, 6, 6, 6)
+        got, expect = [], []
+        for q, qp, r, rp in itertools.product(self.labels, repeat=4):
+            (m, a), (mp, b), (n, c), (n2, e) = q, qp, r, rp
+            got.append(T[idx(*q), idx(*qp), idx(*r), idx(*rp)])
+            expect.append(pref * self.P4[m, n, mp, n2]
+                          * weight.get((a, b, c, e), 0.0))
+        self.assert_close(got, expect)
