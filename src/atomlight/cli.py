@@ -3,18 +3,16 @@
 Config schema (JSON; unknown keys anywhere are errors):
 
     {
-      "seed": 1234,                      // u64; --seed overrides
+      "seed": 1234,                      // int in [0, 2**64); --seed overrides
       "output_dir": "out",               // --out overrides
       "analyses": ["regime", ...],       // any of ANALYSES below
-      "scenario": {                      // regime checker operating point
+      "scenario": {                      // regime.Scenario fields
         "kappa": 1.0, "n_photons": 1e8, "n_atoms": 1e6,
         "optical_depth": 30, "wavelength": 852e-9, "length": 0.03,
         "transverse_size": 1e-3, "detuning": 1e9, "linewidth": 3e7,
         "density": null                  // optional; enables OD cross-check
       },
-      "modes": {"family": "hermite-gauss", "max_order": 2,
-                "w0": 1e-3, "k": 7.4e6},
-      "grid": {"points": 64, "extent_factor": 6.0},
+      "modes": {"max_order": 2, "k": 7.4e6},
       "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0,
                   "a0": 1.0, "a1": 0.3, "column_rho_jz": 0.0,
                   "stokes_in": [1.0, 0.0, 0.0], "gain": null},
@@ -25,15 +23,16 @@ Config schema (JSON; unknown keys anywhere are errors):
 Exit codes: 0 success, 2 config error, 3 analysis error.  Outputs are
 bit-identical for identical config and seed; every artifact starts with
 a header block carrying the config hash, the seed, and the versions of
-this package and its numeric dependencies.  The --threads flag bounds
-worker concurrency; reductions are summed in deterministic order, so
-results do not depend on it.
+this package and its numeric dependencies.  A sweep's hash covers the
+base config, the swept parameter and the value list.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -55,26 +54,11 @@ from .regime import (Scenario, check_fresnel_basis, check_light_series,
 ANALYSES = ("rho-coefficients", "stokes-map", "memory-protocol",
             "pointgas", "regime")
 
-_SCHEMA = {
-    "": {"seed", "output_dir", "analyses", "scenario", "modes", "grid",
-         "physics", "pointgas"},
-    "scenario": {"kappa", "n_photons", "n_atoms", "optical_depth",
-                 "wavelength", "length", "transverse_size", "detuning",
-                 "linewidth", "density"},
-    "modes": {"family", "max_order", "w0", "k"},
-    "grid": {"points", "extent_factor"},
-    "physics": {"beta", "c0", "c1", "a0", "a1", "column_rho_jz",
-                "stokes_in", "gain"},
-    "pointgas": {"n_atoms", "n_clouds", "profile", "size", "delta_k"},
-}
-
 _DEFAULTS = {
     "seed": 0,
     "output_dir": "out",
     "analyses": [],
-    "modes": {"family": "hermite-gauss", "max_order": 2, "w0": 1e-3,
-              "k": 7.4e6},
-    "grid": {"points": 64, "extent_factor": 6.0},
+    "modes": {"max_order": 2, "k": 7.4e6},
     "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0, "a0": 1.0, "a1": 0.3,
                 "column_rho_jz": 0.0, "stokes_in": [1.0, 0.0, 0.0],
                 "gain": None},
@@ -83,12 +67,20 @@ _DEFAULTS = {
 }
 
 
-def _check_keys(section: str, data: dict) -> None:
-    allowed = _SCHEMA[section]
+def _check_keys(section: str, data, allowed) -> None:
+    if not isinstance(data, dict):
+        raise ConfigInvalid(f"{section or 'config'} must be an object")
     for key in data:
         if key not in allowed:
             where = f"{section}.{key}" if section else key
             raise ConfigInvalid(f"unknown config key: {where}")
+
+
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int) \
+            or not 0 <= seed < 2**64:
+        raise ConfigInvalid(f"seed must be an integer in [0, 2**64): {seed!r}")
+    return seed
 
 
 def load_config(path) -> dict:
@@ -99,36 +91,25 @@ def load_config(path) -> dict:
         raise ConfigInvalid(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    _check_keys("", raw)
+    _check_keys("", raw, {*_DEFAULTS, "scenario"})
     cfg = {}
     for key, default in _DEFAULTS.items():
+        value = raw.get(key, default)
         if isinstance(default, dict):
-            sub = dict(default)
-            user = raw.get(key, {})
-            if not isinstance(user, dict):
-                raise ConfigInvalid(f"{key} must be an object")
-            _check_keys(key, user)
-            sub.update(user)
-            cfg[key] = sub
-        else:
-            cfg[key] = raw.get(key, default)
-    if "scenario" in raw:
-        _check_keys("scenario", raw["scenario"])
-        cfg["scenario"] = dict(raw["scenario"])
-    else:
-        cfg["scenario"] = None
+            _check_keys(key, value, default)
+            value = {**default, **value}
+        cfg[key] = value
+    cfg["scenario"] = raw.get("scenario")
+    if cfg["scenario"] is not None:
+        _check_keys("scenario", cfg["scenario"],
+                    {f.name for f in dataclasses.fields(Scenario)})
+    _check_seed(cfg["seed"])
 
     if not isinstance(cfg["analyses"], list):
         raise ConfigInvalid("analyses must be a list")
     for name in cfg["analyses"]:
         if name not in ANALYSES:
             raise ConfigInvalid(f"unknown analysis: analyses.{name}")
-    if int(cfg["grid"]["points"]) < 2:
-        raise ConfigInvalid("grid.points must be at least 2")
-    if cfg["modes"]["family"] != "hermite-gauss":
-        raise ConfigInvalid("modes.family must be 'hermite-gauss'")
     if cfg["scenario"] is None and any(
             a in cfg["analyses"] for a in ("regime", "memory-protocol")):
         raise ConfigInvalid("scenario section required for requested analyses")
@@ -140,37 +121,32 @@ def config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _header_lines(cfg: dict) -> list:
-    return [
-        f"# config_hash={config_hash(cfg)}",
-        f"# seed={cfg['seed']}",
-        f"# versions=atomlight {__version__}; numpy {np.__version__}; "
-        f"scipy {scipy.__version__}",
-    ]
+def _provenance(hashed, seed: int) -> dict:
+    """Header block of every artifact: hash of `hashed`, seed, versions."""
+    return {"config_hash": config_hash(hashed), "seed": seed,
+            "versions": {"atomlight": __version__,
+                         "numpy": np.__version__,
+                         "scipy": scipy.__version__}}
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-def _write_csv(path: Path, cfg: dict, fieldnames, rows) -> None:
+def _write_csv(path: Path, provenance: dict, fieldnames, rows) -> None:
+    versions = "; ".join(f"{k} {v}"
+                         for k, v in provenance["versions"].items())
     with open(path, "w", newline="") as fh:
-        for line in _header_lines(cfg):
-            fh.write(line + "\n")
+        fh.write(f"# config_hash={provenance['config_hash']}\n"
+                 f"# seed={provenance['seed']}\n"
+                 f"# versions={versions}\n")
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fieldnames])
+        writer.writerows([_fmt(row[k]) for k in fieldnames] for row in rows)
 
 
-def _write_json(path: Path, cfg: dict, payload: dict) -> None:
-    record = {"config_hash": config_hash(cfg), "seed": cfg["seed"],
-              "versions": {"atomlight": __version__,
-                           "numpy": np.__version__,
-                           "scipy": scipy.__version__}}
-    record.update(payload)
+def _write_json(path: Path, provenance: dict, payload: dict) -> None:
+    record = {**provenance, **payload}
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
@@ -178,26 +154,24 @@ def _write_json(path: Path, cfg: dict, payload: dict) -> None:
 # Analyses: each returns (metrics_dict, rows, fieldnames) for CSV emission
 # ---------------------------------------------------------------------------
 
+def _pick(row: dict, *keys) -> dict:
+    return {k: row[k] for k in keys}
+
+
 def _analysis_rho(cfg: dict):
     ph = cfg["physics"]
     a0, a1 = float(ph["a0"]), float(ph["a1"])
     k_L = 1.0
-    closed = short_propagator_closed(a0, a1, k_L)
-    quad = short_propagator_quadrature(a0, a1, k_L)
-    scale = max(abs(closed.rho_par), abs(closed.rho_perp),
-                abs(closed.rho_gamma), 1e-300)
-    devs = [abs(getattr(closed, name) - getattr(quad, name)) / scale
-            for name in ("rho_par", "rho_perp", "rho_gamma")]
+    closed = vars(short_propagator_closed(a0, a1, k_L))
+    quad = vars(short_propagator_quadrature(a0, a1, k_L))
+    names = ("rho_par", "rho_perp", "rho_gamma")
+    scale = max(*(abs(closed[n]) for n in names), 1e-300)
     row = {"a0": a0, "a1": a1,
-           "rho_par_closed": closed.rho_par,
-           "rho_perp_closed": closed.rho_perp,
-           "rho_gamma_closed": closed.rho_gamma,
-           "rho_par_quad": quad.rho_par,
-           "rho_perp_quad": quad.rho_perp,
-           "rho_gamma_quad": quad.rho_gamma,
-           "max_rel_dev": max(devs)}
-    return {"max_rel_dev": max(devs),
-            "rho_gamma_closed": closed.rho_gamma}, [row], list(row)
+           **{f"{n}_closed": closed[n] for n in names},
+           **{f"{n}_quad": quad[n] for n in names},
+           "max_rel_dev": max(abs(closed[n] - quad[n]) / scale
+                              for n in names)}
+    return _pick(row, "max_rel_dev", "rho_gamma_closed"), [row], list(row)
 
 
 def _analysis_stokes(cfg: dict):
@@ -206,11 +180,10 @@ def _analysis_stokes(cfg: dict):
         * float(cfg["modes"]["k"])
     s_in = tuple(float(v) for v in ph["stokes_in"])
     s_out = paraxial_stokes_map(s_in, phi)
-    row = {"phi": phi,
-           "s1_in": s_in[0], "s2_in": s_in[1], "s3_in": s_in[2],
-           "s1_out": s_out[0], "s2_out": s_out[1], "s3_out": s_out[2]}
-    return {"phi": phi, "s1_out": s_out[0], "s2_out": s_out[1],
-            "s3_out": s_out[2]}, [row], list(row)
+    row = {"phi": phi, **{f"s{i}_in": v for i, v in enumerate(s_in, 1)},
+           **{f"s{i}_out": v for i, v in enumerate(s_out, 1)}}
+    return (_pick(row, "phi", "s1_out", "s2_out", "s3_out"), [row],
+            list(row))
 
 
 def _analysis_memory(cfg: dict):
@@ -221,8 +194,7 @@ def _analysis_memory(cfg: dict):
     S = collective_map_matrix(ordering, kappa)
     omega = symplectic_form(ordering)
     sym_res = float(np.max(np.abs(S @ omega @ S.T - omega)))
-    after = apply_collective_map(vac, kappa)
-    var_xa = after.variance(ordering.X_A(0))
+    var_xa = apply_collective_map(vac, kappa).variance(ordering.X_A(0))
     if gain is None:
         gain = -1.0 / kappa if kappa != 0 else 0.0
     result = memory_protocol(vac, kappa, float(gain), outcome=0.0)
@@ -231,48 +203,42 @@ def _analysis_memory(cfg: dict):
            "var_XA_expected": 0.5 + 0.5 * kappa**2,
            "var_PA_conditioned": var_pa_cond,
            "symplectic_residual": sym_res, "gain": float(gain)}
-    return {"kappa": kappa, "var_XA_out": var_xa,
-            "var_PA_conditioned": var_pa_cond,
-            "symplectic_residual": sym_res}, [row], list(row)
+    return (_pick(row, "kappa", "var_XA_out", "var_PA_conditioned",
+                  "symplectic_residual"), [row], list(row))
 
 
 def _analysis_pointgas(cfg: dict):
     pg = cfg["pointgas"]
-    n_clouds = int(pg["n_clouds"])
-    rngs = spawn_rngs(int(cfg["seed"]), n_clouds)
+    rngs = spawn_rngs(int(cfg["seed"]), int(pg["n_clouds"]))
     clouds = [sample_cloud(int(pg["n_atoms"]), pg["profile"],
                            float(pg["size"]), rng) for rng in rngs]
     est = density_correlation(clouds, pg["delta_k"])
-    row = {"dk_x": est.delta_k[0], "dk_y": est.delta_k[1],
-           "dk_z": est.delta_k[2], "n_atoms": est.n_atoms,
-           "n_clouds": est.n_batches,
-           "raw_mean": est.raw_mean, "raw_sem": est.raw_sem,
-           "corrected_mean": est.corrected_mean,
-           "corrected_sem": est.corrected_sem,
-           "self_term": est.self_term}
-    return {"raw_mean": est.raw_mean, "raw_sem": est.raw_sem,
-            "corrected_mean": est.corrected_mean}, [row], list(row)
+    stats = ("raw_mean", "raw_sem", "corrected_mean", "corrected_sem",
+             "self_term")
+    row = {**dict(zip(("dk_x", "dk_y", "dk_z"), est.delta_k)),
+           "n_atoms": est.n_atoms, "n_clouds": est.n_batches,
+           **{k: getattr(est, k) for k in stats}}
+    return (_pick(row, "raw_mean", "raw_sem", "corrected_mean"), [row],
+            list(row))
 
 
 def _analysis_regime(cfg: dict):
-    sc = Scenario(**{k: v for k, v in cfg["scenario"].items()})
+    sc = Scenario(**cfg["scenario"])
     light = check_light_series(sc)
     spin = check_spin_series(sc)
     F = fresnel_number(sc.wavelength, sc.transverse_size, sc.length)
     fres = check_fresnel_basis(F, int(cfg["modes"]["max_order"]))
-    rows = []
-    for group, report in (("light", light.checks), ("spin", spin.checks),
-                          ("fresnel", fres)):
-        for c in report:
-            rows.append({"group": group, "name": c.name, "value": c.value,
-                         "threshold": c.threshold,
-                         "passed": int(c.passed), "margin": c.margin})
+    rows = [{"group": group, "name": c.name, "value": c.value,
+             "threshold": c.threshold, "passed": int(c.passed),
+             "margin": c.margin}
+            for group, report in (("light", light.checks),
+                                  ("spin", spin.checks), ("fresnel", fres))
+            for c in report]
     metrics = {"light_passed": int(light.passed),
                "spin_passed": int(spin.passed),
                "fresnel_passed": int(all(c.passed for c in fres)),
                "fresnel_number": F}
-    return metrics, rows, ["group", "name", "value", "threshold", "passed",
-                           "margin"]
+    return metrics, rows, list(rows[0])
 
 
 _RUNNERS = {
@@ -284,21 +250,27 @@ _RUNNERS = {
 }
 
 
+def _analyse(name: str, cfg: dict):
+    """Run one analysis; errors not raised by atomlight become AnalysisFailed."""
+    try:
+        return _RUNNERS[name](cfg)
+    except AtomLightError:
+        raise
+    except Exception as exc:
+        raise AnalysisFailed(f"analysis {name!r} failed: {exc}") from exc
+
+
 def run(cfg: dict, out_dir) -> dict:
     """Execute the configured analyses; returns the summary payload."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    provenance = _provenance(cfg, cfg["seed"])
     summary = {"analyses": {}}
     for name in cfg["analyses"]:
-        try:
-            metrics, rows, fieldnames = _RUNNERS[name](cfg)
-        except AtomLightError:
-            raise
-        except Exception as exc:
-            raise AnalysisFailed(f"analysis {name!r} failed: {exc}") from exc
-        _write_csv(out / f"{name}.csv", cfg, fieldnames, rows)
+        metrics, rows, fieldnames = _analyse(name, cfg)
+        _write_csv(out / f"{name}.csv", provenance, fieldnames, rows)
         summary["analyses"][name] = metrics
-    _write_json(out / "summary.json", cfg, summary)
+    _write_json(out / "summary.json", provenance, summary)
     return summary
 
 
@@ -319,30 +291,25 @@ def _resolve_path(cfg: dict, dotted: str):
 
 
 def sweep(cfg: dict, param: str, values, out_dir) -> list:
-    """Run the analyses once per parameter value; one CSV row per value."""
+    """Run the analyses once per value, on a copy of cfg; one CSV row each."""
+    values = list(values)
+    point = copy.deepcopy(cfg)
+    node, key = _resolve_path(point, param)
+    provenance = _provenance(
+        {"config": cfg, "param": param, "values": values}, cfg["seed"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    node, key = _resolve_path(cfg, param)
     rows = []
-    fieldnames = [param]
     for value in values:
         node[key] = value
         row = {param: value}
-        for name in cfg["analyses"]:
-            try:
-                metrics, _, _ = _RUNNERS[name](cfg)
-            except AtomLightError:
-                raise
-            except Exception as exc:
-                raise AnalysisFailed(f"analysis {name!r} failed: {exc}") from exc
-            for mk, mv in metrics.items():
-                col = f"{name}.{mk}"
-                row[col] = mv
-                if col not in fieldnames:
-                    fieldnames.append(col)
+        for name in point["analyses"]:
+            metrics, _, _ = _analyse(name, point)
+            row.update((f"{name}.{mk}", mv) for mk, mv in metrics.items())
         rows.append(row)
+    fieldnames = list(dict.fromkeys([param, *(k for r in rows for k in r)]))
     safe = param.replace(".", "_")
-    _write_csv(out / f"sweep_{safe}.csv", cfg, fieldnames,
+    _write_csv(out / f"sweep_{safe}.csv", provenance, fieldnames,
                [{k: r.get(k, "") for k in fieldnames} for r in rows])
     return rows
 
@@ -354,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed (u64)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker bound; results are independent of it")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute the configured analyses")
     p_run.add_argument("config")
@@ -373,7 +338,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            cfg["seed"] = _check_seed(args.seed)
         out_dir = args.out if args.out is not None else cfg["output_dir"]
         if args.command == "run":
             run(cfg, out_dir)

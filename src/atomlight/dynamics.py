@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FrameNotOrthonormal, NonUniformClassicalMode,
-                     OrderingMismatch)
+from .errors import FrameNotOrthonormal, NonUniformClassicalMode
 
 FRAME_TOL = 1e-12
 UNIFORMITY_TOL = 0.01
@@ -27,11 +26,10 @@ UNIFORMITY_TOL = 0.01
 
 @dataclass(frozen=True)
 class QuadratureOrdering:
-    """Index bookkeeping for the (X_P.., P_P.., X_A.., P_A..) layout."""
+    """Index bookkeeping for the (X_P.., P_P.., X_A.., P_A..) ordering."""
 
     n_light: int
     n_atom: int
-    layout: str = "XP-PP-XA-PA"
 
     @property
     def dim(self) -> int:
@@ -92,19 +90,14 @@ class GaussianState:
         return float(self.cov[idx, idx])
 
     def to_json(self) -> str:
-        return json.dumps({
-            "layout": self.ordering.layout,
-            "n_light": self.ordering.n_light,
-            "n_atom": self.ordering.n_atom,
-            "mean": self.mean.tolist(),
-            "cov": self.cov.tolist(),
-        })
+        return json.dumps({"n_light": self.ordering.n_light,
+                           "n_atom": self.ordering.n_atom,
+                           "mean": self.mean.tolist(), "cov": self.cov.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "GaussianState":
         d = json.loads(text)
-        ordering = QuadratureOrdering(n_light=d["n_light"], n_atom=d["n_atom"],
-                                      layout=d["layout"])
+        ordering = QuadratureOrdering(n_light=d["n_light"], n_atom=d["n_atom"])
         return cls(ordering, np.array(d["mean"]), np.array(d["cov"]))
 
 
@@ -251,13 +244,9 @@ def is_symplectic(S: np.ndarray, ordering: QuadratureOrdering,
 
 
 def apply_collective_map(state: GaussianState, kappa: float,
-                         expected_layout: str = "XP-PP-XA-PA",
                          light_mode: int = 0,
                          atom_mode: int = 0) -> GaussianState:
-    """Apply the kappa map to a Gaussian state; checks the ordering."""
-    if state.ordering.layout != expected_layout:
-        raise OrderingMismatch(
-            f"state layout {state.ordering.layout!r} != {expected_layout!r}")
+    """Apply the kappa map to a Gaussian state."""
     S = collective_map_matrix(state.ordering, kappa, light_mode, atom_mode)
     return GaussianState(state.ordering, S @ state.mean, S @ state.cov @ S.T)
 

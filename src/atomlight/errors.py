@@ -41,10 +41,6 @@ class BasisMismatch(AtomLightError):
     """Operator algebra between operators living on different bases."""
 
 
-class OrderingMismatch(AtomLightError):
-    """Gaussian state and symplectic map disagree on quadrature ordering."""
-
-
 class NonUniformClassicalMode(AtomLightError):
     """Collective-mode construction needs a flat classical beam profile."""
 

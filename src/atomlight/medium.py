@@ -37,12 +37,14 @@ class PhysicalParams:
     omega_L: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.k_L <= 0:
+        if not self.k_L > 0:
             raise ValueError("k_L must be positive")
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
+        if not np.isfinite(self.delta):
+            raise ValueError("delta must be finite")
 
     @property
     def beta(self) -> float:
@@ -58,10 +60,6 @@ class InteractionCoefficients:
     c0: float = 0.0
     c1: float = 0.0
     c2: float = 0.0
-
-    @classmethod
-    def from_params(cls, params: PhysicalParams, c0=0.0, c1=0.0, c2=0.0):
-        return cls(beta=params.beta, c0=c0, c1=c1, c2=c2)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ weights through which the atoms see mode interference.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -244,16 +243,3 @@ def expand_function(basis: list, grid: TransverseGrid, f,
         coeffs.append(c)
         recon += c * U
     return np.array(coeffs), recon
-
-
-def export_field_csv(path, grid: TransverseGrid, field) -> None:
-    """Write a complex grid field as CSV rows (x, y, Re, Im)."""
-    field = np.asarray(field)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "Re", "Im"])
-        for i, xv in enumerate(grid.x):
-            for j, yv in enumerate(grid.y):
-                v = field[i, j]
-                writer.writerow([repr(float(xv)), repr(float(yv)),
-                                 repr(float(np.real(v))), repr(float(np.imag(v)))])

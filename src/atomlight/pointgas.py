@@ -14,7 +14,6 @@ sequences, so batches are reproducible and uncorrelated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,22 +153,3 @@ def spin_correlation_check(J_bar, tol: float = 1e-12) -> dict:
         if val > tol:
             raise AssertionError(f"spin self-product check failed: {key}={val}")
     return result
-
-
-def export_correlations_csv(path, estimates, seed: int, profile: str) -> None:
-    """CSV dump of correlation estimates with provenance header lines."""
-    estimates = list(estimates)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={seed}\n")
-        fh.write(f"# profile={profile}\n")
-        if estimates:
-            fh.write(f"# n_atoms={estimates[0].n_atoms}\n")
-            fh.write(f"# n_batches={estimates[0].n_batches}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["dk_x", "dk_y", "dk_z", "raw_mean", "raw_sem",
-                         "corrected_mean", "corrected_sem"])
-        for est in estimates:
-            writer.writerow([repr(v) for v in est.delta_k]
-                            + [repr(est.raw_mean), repr(est.raw_sem),
-                               repr(est.corrected_mean),
-                               repr(est.corrected_sem)])

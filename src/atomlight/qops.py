@@ -28,7 +28,6 @@ removes the inner polarization sum.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -360,12 +359,3 @@ def spin_incoherent_rate(A_minus: np.ndarray, intensity: np.ndarray,
     total = beta**2 * (c1 * c0 * cross + 0.5 * c1**2 * diag)
     total = total + np.conj(total)      # + H.c.
     return np.real(total)
-
-
-def export_operator_csv(path, op: QuadraticOperator) -> None:
-    """Dump a quadratic operator's coefficient matrix as CSV (p,q,Re,Im)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "Re", "Im"])
-        writer.writerows([p, q, repr(float(v.real)), repr(float(v.imag))]
-                         for (p, q), v in np.ndenumerate(op.coeff))

@@ -49,10 +49,13 @@ class Scenario:
     def __post_init__(self):
         for name in ("n_photons", "n_atoms", "optical_depth", "wavelength",
                      "length", "transverse_size", "linewidth"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.detuning == 0:
             raise ValueError("detuning must be nonzero")
+        for name in ("kappa", "detuning"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

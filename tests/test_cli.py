@@ -1,5 +1,6 @@
 """Tests for the scenario-runner CLI: config validation, run, sweep."""
 
+import copy
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import atomlight
-from atomlight.cli import load_config, main
+from atomlight.cli import ANALYSES, load_config, main
 from atomlight.errors import BadParameterPath, ConfigInvalid
 from atomlight.cli import _resolve_path, sweep
 
@@ -33,6 +34,14 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def exit_code(argv):
+    """main's return code, or argparse's exit code for a rejected flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def read_csv_rows(path):
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
@@ -46,13 +55,8 @@ class TestConfigValidation:
             load_config(path)
 
     def test_unknown_nested_key(self, tmp_path):
-        path = write_config(tmp_path, grid={"points": 64, "resolution": 2})
-        with pytest.raises(ConfigInvalid, match="grid.resolution"):
-            load_config(path)
-
-    def test_zero_grid_points(self, tmp_path):
-        path = write_config(tmp_path, grid={"points": 0})
-        with pytest.raises(ConfigInvalid, match="grid.points"):
+        path = write_config(tmp_path, pointgas={"n_atoms": 64, "resolution": 2})
+        with pytest.raises(ConfigInvalid, match="pointgas.resolution"):
             load_config(path)
 
     def test_unknown_analysis(self, tmp_path):
@@ -66,6 +70,53 @@ class TestConfigValidation:
     def test_invalid_config_exit_code(self, tmp_path):
         path = write_config(tmp_path, grid={"points": 0})
         assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("overrides, argv", [
+        ({"grid": {"points": 64, "extent_factor": 6.0}}, []),
+        ({"modes": {"w0": 1e-3}}, []),
+        ({"modes": {"family": "hermite-gauss"}}, []),
+        ({}, ["--threads", "2"]),
+    ], ids=["grid", "modes.w0", "modes.family", "--threads"])
+    def test_removed_surface_rejected(self, tmp_path, overrides, argv):
+        path = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert exit_code(argv + ["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+
+    def test_every_documented_key_loads(self, tmp_path):
+        path = write_config(
+            tmp_path, seed=2**64 - 1, output_dir=str(tmp_path / "o"),
+            analyses=list(ANALYSES),
+            scenario={**BASE_CONFIG["scenario"], "density": 1e17},
+            modes={"max_order": 3, "k": 8e6},
+            physics={"beta": 2e-3, "c0": 0.5, "c1": 0.9, "a0": 1.2,
+                     "a1": 0.4, "column_rho_jz": 1e-4,
+                     "stokes_in": [0.0, 1.0, 0.0], "gain": -0.5},
+            pointgas={"n_atoms": 20, "n_clouds": 16, "profile": "gaussian",
+                      "size": 2.0, "delta_k": [0.0, 1.0, 0.0]})
+        cfg = load_config(path)
+        assert cfg["seed"] == 2**64 - 1
+        assert cfg["scenario"]["density"] == 1e17
+        assert cfg["modes"] == {"max_order": 3, "k": 8e6}
+        assert cfg["physics"]["gain"] == -0.5
+        assert cfg["pointgas"]["profile"] == "gaussian"
+
+    @pytest.mark.parametrize("where, seed", [
+        ("config", 1.5), ("config", True), ("config", "7"), ("config", -1),
+        ("config", 2**64), ("--seed", -1), ("--seed", 2**64),
+    ])
+    def test_seed_outside_u64_rejected(self, tmp_path, where, seed):
+        out = tmp_path / "out"
+        if where == "config":
+            path = write_config(tmp_path, seed=seed)
+            with pytest.raises(ConfigInvalid, match="seed"):
+                load_config(path)
+            argv = []
+        else:
+            path = write_config(tmp_path)
+            argv = ["--seed", str(seed)]
+        assert main(argv + ["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
 
 
 class TestRun:
@@ -154,6 +205,41 @@ class TestSweep:
         rc = main(["sweep", str(path), "--param", "scenario.no_such",
                    "--values", "1"])
         assert rc == 2
+
+    def test_bad_parameter_path_writes_nothing(self, tmp_path):
+        path = write_config(tmp_path, analyses=[])
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "sweep", str(path),
+                   "--param", "scenario.no_such", "--values", "1"])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_hash_names_the_value_list(self, tmp_path):
+        path = write_config(tmp_path, analyses=["memory-protocol"])
+        hashes = set()
+        for i, values in enumerate(("0,0.5", "1,0.5", "0.5")):
+            out = tmp_path / f"o{i}"
+            assert main(["--out", str(out), "sweep", str(path),
+                         "--param", "scenario.kappa", "--values", values]) == 0
+            head = (out / "sweep_scenario_kappa.csv").read_text().splitlines()[0]
+            assert head.startswith("# config_hash=")
+            hashes.add(head)
+        assert len(hashes) == 3
+
+    def test_repeat_sweep_identical_bytes(self, tmp_path):
+        path = write_config(tmp_path, analyses=["memory-protocol", "regime"])
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            assert main(["--out", str(out), "sweep", str(path), "--param",
+                         "scenario.kappa", "--values", "0,0.5,1"]) == 0
+        a, b = (out / "sweep_scenario_kappa.csv" for out in outs)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_caller_config_unchanged(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, analyses=["rho-coefficients"]))
+        before = copy.deepcopy(cfg)
+        sweep(cfg, "physics.a1", [0.1, 0.7], tmp_path / "out")
+        assert cfg == before
 
     def test_non_scalar_path_rejected(self, tmp_path):
         cfg = load_config(write_config(tmp_path, analyses=[]))

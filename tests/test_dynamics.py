@@ -18,8 +18,7 @@ from atomlight.dynamics import (GaussianState, LocalFrames, MemoryResult,
                                 spontaneous_spin_correction,
                                 spontaneous_stokes_correction, symplectic_form,
                                 validate_frame)
-from atomlight.errors import (FrameNotOrthonormal, NonUniformClassicalMode,
-                              OrderingMismatch)
+from atomlight.errors import FrameNotOrthonormal, NonUniformClassicalMode
 from atomlight.modes import HermiteGaussMode, make_grid
 
 RNG = np.random.default_rng(17)
@@ -89,12 +88,6 @@ class TestCollectiveMap:
                 < 1e-14
             assert out.variance(ORD.P_A(0)) == 0.5
             assert out.variance(ORD.P_P(0)) == 0.5
-
-    def test_ordering_mismatch(self):
-        other = QuadratureOrdering(n_light=1, n_atom=1, layout="XA-PA-XP-PP")
-        st = GaussianState.vacuum(other)
-        with pytest.raises(OrderingMismatch):
-            apply_collective_map(st, 1.0)
 
     def test_mean_transfer(self):
         mean = np.zeros(4)

@@ -30,6 +30,16 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             PhysicalParams(gamma=1.0, delta=0.0, k_L=1.0, omega_L=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", float("nan")), ("k_L", float("nan")),
+        ("delta", float("nan")), ("delta", float("inf")),
+        ("delta", float("-inf"))])
+    def test_non_finite_rejected(self, field, value):
+        params = dict(gamma=1.0, delta=1.0, k_L=1.0, omega_L=1.0)
+        params[field] = value
+        with pytest.raises(ValueError, match=field):
+            PhysicalParams(**params)
+
 
 class TestBuildInteraction:
     def test_scalar_only_spin_half(self):

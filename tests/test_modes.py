@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from atomlight.errors import DegenerateGeometry, MixedWavenumbers
-from atomlight.modes import (HermiteGaussMode, TransverseGrid,
-                             completeness_kernel, dressed_modes,
-                             expand_function, export_field_csv,
+from atomlight.modes import (HermiteGaussMode, completeness_kernel,
+                             dressed_modes, expand_function,
                              hermite_gauss_eval, make_grid, medium_inner,
                              medium_matrix, overlap_field)
 
@@ -167,14 +166,3 @@ class TestGridAndExport:
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
             make_grid(1.0, n=1)
-
-    def test_csv_roundtrip(self, tmp_path):
-        grid = TransverseGrid(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0]))
-        field = np.array([[1.0 + 2.0j, 0.1], [0.0, -1.5j]])
-        path = tmp_path / "field.csv"
-        export_field_csv(path, grid, field)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x,y,Re,Im"
-        assert len(rows) == 5
-        assert float(rows[1].split(",")[2]) == 1.0
-        assert float(rows[1].split(",")[3]) == 2.0

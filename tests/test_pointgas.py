@@ -5,7 +5,7 @@ import pytest
 
 from atomlight.errors import TooFewBatches, UnknownProfile
 from atomlight.pointgas import (box_form_factor, density_correlation,
-                                export_correlations_csv, gaussian_form_factor,
+                                gaussian_form_factor,
                                 make_rng, sample_cloud, scattering_sum,
                                 spawn_rngs, spin_correlation_check,
                                 spin_half_self_product)
@@ -98,16 +98,3 @@ class TestSpinProducts:
     def test_consistency_check(self):
         res = spin_correlation_check([0.1, -0.2, 0.4])
         assert all(v <= 1e-12 for v in res.values())
-
-
-class TestExport:
-    def test_csv_headers(self, tmp_path):
-        clouds = [sample_cloud(20, "box", 1.0, r) for r in spawn_rngs(5, 16)]
-        est = density_correlation(clouds, [1.0, 0.0, 0.0])
-        path = tmp_path / "corr.csv"
-        export_correlations_csv(path, [est], seed=5, profile="box")
-        text = path.read_text().splitlines()
-        assert text[0] == "# seed=5"
-        assert text[1] == "# profile=box"
-        assert text[2] == "# n_atoms=20"
-        assert text[4].startswith("dk_x,")

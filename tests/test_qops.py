@@ -12,7 +12,7 @@ from atomlight.qops import (POLS, PolarizedModeBasis, QuadraticOperator, commuta
                             spin_incoherent_rate, spin_second_order_B,
                             spin_second_order_A_single_mode, stokes_field,
                             stokes_first_order, stokes_mode_pair,
-                            stokes_second_order_terms, export_operator_csv)
+                            stokes_second_order_terms)
 
 RNG = np.random.default_rng(3)
 
@@ -66,15 +66,6 @@ class TestAlgebra:
         s1, s2, _ = stokes_mode_pair(basis, 0, 0)
         combo = 2.0 * s1 - s2
         assert np.allclose(combo.coeff, 2.0 * s1.coeff - s2.coeff)
-
-    def test_csv_export(self, tmp_path):
-        basis = PolarizedModeBasis(n_modes=1, k=1.0)
-        s1, _, _ = stokes_mode_pair(basis, 0, 0)
-        path = tmp_path / "s1.csv"
-        export_operator_csv(path, s1)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "row,col,Re,Im"
-        assert len(lines) == 5
 
 
 class TestStokesField:

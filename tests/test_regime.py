@@ -103,3 +103,13 @@ class TestScenarioValidation:
             anchor_scenario(n_atoms=0.0)
         with pytest.raises(ValueError):
             anchor_scenario(detuning=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        *((name, float("nan")) for name in (
+            "n_photons", "n_atoms", "optical_depth", "wavelength", "length",
+            "transverse_size", "linewidth", "kappa", "detuning")),
+        ("kappa", float("inf")), ("kappa", float("-inf")),
+        ("detuning", float("inf")), ("detuning", float("-inf"))])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            anchor_scenario(**{name: value})
