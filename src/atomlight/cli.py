@@ -6,25 +6,28 @@ Config schema (JSON; unknown keys anywhere are errors):
       "seed": 1234,                      // int in [0, 2**64); --seed overrides
       "output_dir": "out",               // --out overrides
       "analyses": ["regime", ...],       // any of ANALYSES below
-      "scenario": {                      // regime.Scenario fields
+      "scenario": {                      // regime.Scenario fields, checked at load
         "kappa": 1.0, "n_photons": 1e8, "n_atoms": 1e6,
         "optical_depth": 30, "wavelength": 852e-9, "length": 0.03,
         "transverse_size": 1e-3, "detuning": 1e9, "linewidth": 3e7,
         "density": null                  // optional; enables OD cross-check
       },
-      "modes": {"max_order": 2, "k": 7.4e6},
+      "modes": {"max_order": 2, "k": 7.4e6},   // max_order: int >= 0
       "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0,
                   "a0": 1.0, "a1": 0.3, "column_rho_jz": 0.0,
                   "stokes_in": [1.0, 0.0, 0.0], "gain": null},
-      "pointgas": {"n_atoms": 100, "n_clouds": 256, "profile": "box",
-                   "size": 1.0, "delta_k": [60.0, 0.0, 0.0]}
+      "pointgas": {"n_atoms": 100,       // int >= 2 (pairs)
+                   "n_clouds": 256,      // int >= 16
+                   "profile": "box", "size": 1.0, "delta_k": [60.0, 0.0, 0.0]}
     }
 
 Exit codes: 0 success, 2 config error, 3 analysis error.  Outputs are
 bit-identical for identical config and seed; every artifact starts with
 a header block carrying the config hash, the seed, and the versions of
 this package and its numeric dependencies.  A sweep's hash covers the
-base config, the swept parameter and the value list.
+base config, the swept parameter and the value list.  Every sweep point
+passes the same value checks as a loaded config before any point runs;
+an integral value such as 3.0 may set an integer field.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,7 +50,7 @@ from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
                        collective_map_matrix, memory_protocol,
                        paraxial_stokes_map, symplectic_form)
 from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
-from .pointgas import density_correlation, sample_cloud, spawn_rngs
+from .pointgas import MIN_BATCHES, density_correlation, sample_cloud, spawn_rngs
 from .propagator import short_propagator_closed, short_propagator_quadrature
 from .regime import (Scenario, check_fresnel_basis, check_light_series,
                      check_spin_series, fresnel_number)
@@ -76,11 +80,41 @@ def _check_keys(section: str, data, allowed) -> None:
             raise ConfigInvalid(f"unknown config key: {where}")
 
 
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, int) \
-            or not 0 <= seed < 2**64:
-        raise ConfigInvalid(f"seed must be an integer in [0, 2**64): {seed!r}")
-    return seed
+# Integer fields by dotted path, with the half-open range of valid values.
+_INTEGER_FIELDS = {"seed": (0, 2**64),
+                   "modes.max_order": (0, math.inf),
+                   "pointgas.n_atoms": (2, math.inf),
+                   "pointgas.n_clouds": (MIN_BATCHES, math.inf)}
+
+
+def _check_integer(path: str, value) -> int:
+    low, high = _INTEGER_FIELDS[path]
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not low <= value < high:
+        raise ConfigInvalid(
+            f"{path} must be an integer in [{low}, {high}): {value!r}")
+    return value
+
+
+def _check_values(cfg: dict) -> None:
+    """Value checks on a merged config, shared by load_config and sweep."""
+    for path in _INTEGER_FIELDS:
+        section, _, key = path.rpartition(".")
+        _check_integer(path, (cfg[section] if section else cfg)[key])
+    if not isinstance(cfg["analyses"], list):
+        raise ConfigInvalid("analyses must be a list")
+    for name in cfg["analyses"]:
+        if name not in ANALYSES:
+            raise ConfigInvalid(f"unknown analysis: analyses.{name}")
+    if cfg["scenario"] is None:
+        if any(a in cfg["analyses"] for a in ("regime", "memory-protocol")):
+            raise ConfigInvalid(
+                "scenario section required for requested analyses")
+        return
+    try:
+        Scenario(**cfg["scenario"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"invalid scenario: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -103,16 +137,7 @@ def load_config(path) -> dict:
     if cfg["scenario"] is not None:
         _check_keys("scenario", cfg["scenario"],
                     {f.name for f in dataclasses.fields(Scenario)})
-    _check_seed(cfg["seed"])
-
-    if not isinstance(cfg["analyses"], list):
-        raise ConfigInvalid("analyses must be a list")
-    for name in cfg["analyses"]:
-        if name not in ANALYSES:
-            raise ConfigInvalid(f"unknown analysis: analyses.{name}")
-    if cfg["scenario"] is None and any(
-            a in cfg["analyses"] for a in ("regime", "memory-protocol")):
-        raise ConfigInvalid("scenario section required for requested analyses")
+    _check_values(cfg)
     return cfg
 
 
@@ -187,7 +212,7 @@ def _analysis_stokes(cfg: dict):
 
 
 def _analysis_memory(cfg: dict):
-    kappa = float(cfg["scenario"]["kappa"])
+    kappa = float(Scenario(**cfg["scenario"]).kappa)
     gain = cfg["physics"].get("gain")
     ordering = QuadratureOrdering(n_light=1, n_atom=1)
     vac = GaussianState.vacuum(ordering)
@@ -209,8 +234,8 @@ def _analysis_memory(cfg: dict):
 
 def _analysis_pointgas(cfg: dict):
     pg = cfg["pointgas"]
-    rngs = spawn_rngs(int(cfg["seed"]), int(pg["n_clouds"]))
-    clouds = [sample_cloud(int(pg["n_atoms"]), pg["profile"],
+    rngs = spawn_rngs(cfg["seed"], pg["n_clouds"])
+    clouds = [sample_cloud(pg["n_atoms"], pg["profile"],
                            float(pg["size"]), rng) for rng in rngs]
     est = density_correlation(clouds, pg["delta_k"])
     stats = ("raw_mean", "raw_sem", "corrected_mean", "corrected_sem",
@@ -227,7 +252,7 @@ def _analysis_regime(cfg: dict):
     light = check_light_series(sc)
     spin = check_spin_series(sc)
     F = fresnel_number(sc.wavelength, sc.transverse_size, sc.length)
-    fres = check_fresnel_basis(F, int(cfg["modes"]["max_order"]))
+    fres = check_fresnel_basis(F, cfg["modes"]["max_order"])
     rows = [{"group": group, "name": c.name, "value": c.value,
              "threshold": c.threshold, "passed": int(c.passed),
              "margin": c.margin}
@@ -291,17 +316,26 @@ def _resolve_path(cfg: dict, dotted: str):
 
 
 def sweep(cfg: dict, param: str, values, out_dir) -> list:
-    """Run the analyses once per value, on a copy of cfg; one CSV row each."""
+    """Run the analyses once per value, on a copy of cfg; one CSV row each.
+
+    Every point is checked before the first one runs, so a bad value
+    raises ConfigInvalid and writes nothing.
+    """
     values = list(values)
     point = copy.deepcopy(cfg)
     node, key = _resolve_path(point, param)
+    settings = [int(v) if param in _INTEGER_FIELDS and isinstance(v, float)
+                and v.is_integer() else v for v in values]
+    for setting in settings:
+        node[key] = setting
+        _check_values(point)
     provenance = _provenance(
         {"config": cfg, "param": param, "values": values}, cfg["seed"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        node[key] = value
+    for value, setting in zip(values, settings):
+        node[key] = setting
         row = {param: value}
         for name in point["analyses"]:
             metrics, _, _ = _analyse(name, point)
@@ -338,7 +372,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = _check_seed(args.seed)
+            cfg["seed"] = _check_integer("seed", args.seed)
         out_dir = args.out if args.out is not None else cfg["output_dir"]
         if args.command == "run":
             run(cfg, out_dir)

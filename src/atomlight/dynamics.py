@@ -51,8 +51,8 @@ class QuadratureOrdering:
 def symplectic_form(ordering: QuadratureOrdering) -> np.ndarray:
     """Matrix Omega with [q_a, q_b] = i * Omega[a, b]."""
     light, atom = np.arange(ordering.n_light), np.arange(ordering.n_atom)
-    X = np.r_[ordering.X_P(light), ordering.X_A(atom)]
-    P = np.r_[ordering.P_P(light), ordering.P_A(atom)]
+    X = np.concatenate([ordering.X_P(light), ordering.X_A(atom)])
+    P = np.concatenate([ordering.P_P(light), ordering.P_A(atom)])
     O = np.zeros((ordering.dim, ordering.dim))
     O[X, P], O[P, X] = 1.0, -1.0
     return O

@@ -15,6 +15,8 @@ part is kept.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,15 @@ def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagator
     return ShortPropagatorCoeffs(rho_par, rho_perp, rho_gamma, near)
 
 
+@functools.cache
+def _gauss_legendre(n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights, built once per n_points."""
+    x, w = np.polynomial.legendre.leggauss(n_points)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def short_propagator_quadrature(a0: float, a1: float, k_L: float,
                                 n_points: int = 128) -> ShortPropagatorCoeffs:
     """Gauss-Legendre evaluation of the angular integral behind the triple.
@@ -79,12 +90,14 @@ def short_propagator_quadrature(a0: float, a1: float, k_L: float,
         rho_par   = k^3/(8 pi) * int 2(1-x^2) f dx
         rho_perp  = k^3/(8 pi) * int (1+x^2)  f dx
         rho_gamma = k^3/(4 pi) * int x        f dx
-    with the sign of rho_gamma fixed to agree with the closed forms.
+    with the sign of rho_gamma fixed to agree with the closed forms.  The
+    rule is built once per n_points per process; n_points must be an
+    integer, so 128.0 raises TypeError.
     """
     if n_points < 64:
         raise ValueError("n_points must be at least 64")
     near = _check_domain(a0, a1)
-    x, w = np.polynomial.legendre.leggauss(n_points)
+    x, w = _gauss_legendre(operator.index(n_points))
     f = (a0 + a1 * x)**-2.5
     pref = k_L**3 / (8.0 * np.pi)
     rho_par = pref * float(np.sum(w * 2.0 * (1.0 - x**2) * f))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import atomlight
+from atomlight import propagator
 from atomlight.cli import ANALYSES, load_config, main
 from atomlight.errors import BadParameterPath, ConfigInvalid
 from atomlight.cli import _resolve_path, sweep
@@ -117,6 +118,26 @@ class TestConfigValidation:
             argv = ["--seed", str(seed)]
         assert main(argv + ["--out", str(out), "run", str(path)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_non_finite_kappa_rejected_at_load(self, tmp_path, kappa):
+        path = write_config(tmp_path, analyses=["memory-protocol"],
+                            scenario={**BASE_CONFIG["scenario"],
+                                      "kappa": kappa})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pointgas", "n_atoms", 10.5), ("pointgas", "n_atoms", 1),
+        ("pointgas", "n_clouds", 8), ("pointgas", "n_clouds", True),
+        ("modes", "max_order", -1), ("modes", "max_order", 2.0),
+    ])
+    def test_integer_field_outside_domain_rejected(self, tmp_path, section,
+                                                    key, value):
+        path = write_config(tmp_path, **{section: {key: value}})
+        with pytest.raises(ConfigInvalid, match=f"{section}.{key}"):
+            load_config(path)
 
 
 class TestRun:
@@ -240,6 +261,53 @@ class TestSweep:
         before = copy.deepcopy(cfg)
         sweep(cfg, "physics.a1", [0.1, 0.7], tmp_path / "out")
         assert cfg == before
+
+    @pytest.mark.parametrize("analysis, param, values", [
+        ("pointgas", "seed", "1.5"),
+        ("pointgas", "seed", "1.5,-1"),
+        ("pointgas", "seed", "3,-1"),
+        ("pointgas", "pointgas.n_atoms", "10.5"),
+        ("memory-protocol", "scenario.kappa", "nan,inf"),
+        ("memory-protocol", "scenario.kappa", "0.5,nan"),
+    ])
+    def test_bad_point_writes_nothing(self, tmp_path, analysis, param, values):
+        path = write_config(tmp_path, analyses=[analysis])
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep", str(path), "--param", param,
+                     "--values", values]) == 2
+        assert not out.exists()
+
+    def test_integral_values_set_integer_fields(self, tmp_path):
+        path = write_config(tmp_path, analyses=["pointgas"],
+                            pointgas={"n_atoms": 20, "n_clouds": 16})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep", str(path), "--param", "seed",
+                     "--values", "3,4"]) == 0
+        rows = read_csv_rows(out / "sweep_seed.csv")
+        assert [r["seed"] for r in rows] == ["3", "4"]
+        for seed, row in zip((3, 4), rows):
+            single = tmp_path / f"run{seed}"
+            assert main(["--out", str(single), "--seed", str(seed), "run",
+                         str(path)]) == 0
+            summary = json.loads((single / "summary.json").read_text())
+            assert float(row["pointgas.raw_mean"]) \
+                == summary["analyses"]["pointgas"]["raw_mean"]
+
+    def test_gauss_legendre_rule_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            builds.append(n)
+            return leggauss(n)
+
+        propagator._gauss_legendre.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        path = write_config(tmp_path, analyses=["rho-coefficients"])
+        values = ",".join(str(v) for v in np.linspace(0.0, 0.9, 50).tolist())
+        assert main(["--out", str(tmp_path / "out"), "sweep", str(path),
+                     "--param", "physics.a1", "--values", values]) == 0
+        assert builds == [128]
 
     def test_non_scalar_path_rejected(self, tmp_path):
         cfg = load_config(write_config(tmp_path, analyses=[]))

@@ -96,6 +96,18 @@ class TestCollectiveMap:
         out = apply_collective_map(st, 1.3)
         assert out.mean[ORD.X_A(0)] == pytest.approx(1.3 * 0.7)
 
+    @pytest.mark.parametrize("n_light, n_atom", [(1, 1), (2, 3), (4, 1)])
+    def test_symplectic_form_matches_index_construction(self, n_light, n_atom):
+        ordering = QuadratureOrdering(n_light=n_light, n_atom=n_atom)
+        light, atom = np.arange(n_light), np.arange(n_atom)
+        X = np.r_[ordering.X_P(light), ordering.X_A(atom)]
+        P = np.r_[ordering.P_P(light), ordering.P_A(atom)]
+        expect = np.zeros((ordering.dim, ordering.dim))
+        expect[X, P], expect[P, X] = 1.0, -1.0
+        omega = symplectic_form(ordering)
+        assert omega.dtype == expect.dtype and omega.shape == expect.shape
+        assert omega.tobytes() == expect.tobytes()
+
 
 class TestConditioning:
     def test_measured_variance_collapses(self):

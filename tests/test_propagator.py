@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from atomlight import propagator
 from atomlight.errors import OutsideDomain, ZeroSeparation
 from atomlight.medium import cross_matrix
 from atomlight.propagator import (GreensSum, coordinate_free_short_propagator,
@@ -84,6 +85,36 @@ class TestShortPropagator:
         M1 = coordinate_free_short_propagator(c, R @ j)
         M2 = R @ coordinate_free_short_propagator(c, j) @ R.T
         assert np.max(np.abs(M1 - M2)) < 1e-14
+
+
+class TestGaussLegendreCache:
+    @pytest.mark.parametrize("n_points", [64, 128, 257])
+    def test_bit_identical_to_inline_rule(self, n_points):
+        x, w = np.polynomial.legendre.leggauss(n_points)
+        for a0, a1 in ((1.0, 0.0), (1.0, 0.3), (2.5, 1.7), (1.0, 0.999)):
+            f = (a0 + a1 * x)**-2.5
+            pref = 1.7**3 / (8.0 * np.pi)
+            expect = (pref * float(np.sum(w * 2.0 * (1.0 - x**2) * f)),
+                      pref * float(np.sum(w * (1.0 + x**2) * f)),
+                      2.0 * pref * float(np.sum(w * x * f)))
+            for _ in range(2):
+                q = short_propagator_quadrature(a0, a1, 1.7, n_points)
+                assert (q.rho_par, q.rho_perp, q.rho_gamma) == expect
+
+    def test_cached_rule_is_read_only(self):
+        short_propagator_quadrature(1.0, 0.3, 1.0)
+        for arr in propagator._gauss_legendre(128):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_n_points_checks_hold_after_a_cached_call(self):
+        q = short_propagator_quadrature(1.0, 0.3, 1.0, n_points=128)
+        assert short_propagator_quadrature(
+            1.0, 0.3, 1.0, n_points=np.int64(128)) == q
+        with pytest.raises(TypeError):
+            short_propagator_quadrature(1.0, 0.3, 1.0, n_points=128.0)
+        with pytest.raises(ValueError):
+            short_propagator_quadrature(1.0, 0.3, 1.0, n_points=32)
 
 
 class TestDipolePropagator:
