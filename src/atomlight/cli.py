@@ -18,7 +18,9 @@ Config schema (JSON; unknown keys anywhere are errors):
                   "stokes_in": [1.0, 0.0, 0.0], "gain": null},
       "pointgas": {"n_atoms": 100,       // int >= 2 (pairs)
                    "n_clouds": 256,      // int >= 16
-                   "profile": "box", "size": 1.0, "delta_k": [60.0, 0.0, 0.0]}
+                   "profile": "box",     // "box" or "gaussian"
+                   "size": 1.0,          // finite, > 0
+                   "delta_k": [60.0, 0.0, 0.0]}   // three finite numbers
     }
 
 Exit codes: 0 success, 2 config error, 3 analysis error.  Outputs are
@@ -50,7 +52,8 @@ from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
                        collective_map_matrix, memory_protocol,
                        paraxial_stokes_map, symplectic_form)
 from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
-from .pointgas import MIN_BATCHES, density_correlation, sample_cloud, spawn_rngs
+from .pointgas import (MIN_BATCHES, PROFILES, density_correlation,
+                       sample_clouds, spawn_rngs)
 from .propagator import short_propagator_closed, short_propagator_quadrature
 from .regime import (Scenario, check_fresnel_basis, check_light_series,
                      check_spin_series, fresnel_number)
@@ -96,11 +99,31 @@ def _check_integer(path: str, value) -> int:
     return value
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        or isinstance(value, float) and math.isfinite(value)
+
+
+def _check_pointgas(pg: dict) -> None:
+    if not (_is_finite_number(pg["size"]) and pg["size"] > 0):
+        raise ConfigInvalid(
+            f"pointgas.size must be a finite number > 0: {pg['size']!r}")
+    if pg["profile"] not in PROFILES:
+        raise ConfigInvalid(
+            f"pointgas.profile must be one of {PROFILES}: {pg['profile']!r}")
+    dk = pg["delta_k"]
+    if not (isinstance(dk, list) and len(dk) == 3
+            and all(map(_is_finite_number, dk))):
+        raise ConfigInvalid(
+            f"pointgas.delta_k must be three finite numbers: {dk!r}")
+
+
 def _check_values(cfg: dict) -> None:
     """Value checks on a merged config, shared by load_config and sweep."""
     for path in _INTEGER_FIELDS:
         section, _, key = path.rpartition(".")
         _check_integer(path, (cfg[section] if section else cfg)[key])
+    _check_pointgas(cfg["pointgas"])
     if not isinstance(cfg["analyses"], list):
         raise ConfigInvalid("analyses must be a list")
     for name in cfg["analyses"]:
@@ -235,8 +258,8 @@ def _analysis_memory(cfg: dict):
 def _analysis_pointgas(cfg: dict):
     pg = cfg["pointgas"]
     rngs = spawn_rngs(cfg["seed"], pg["n_clouds"])
-    clouds = [sample_cloud(pg["n_atoms"], pg["profile"],
-                           float(pg["size"]), rng) for rng in rngs]
+    clouds = sample_clouds(pg["n_atoms"], pg["profile"], float(pg["size"]),
+                           rngs)
     est = density_correlation(clouds, pg["delta_k"])
     stats = ("raw_mean", "raw_sem", "corrected_mean", "corrected_sem",
              "self_term")

@@ -42,9 +42,9 @@ class ShortPropagatorCoeffs:
 
 
 def _check_domain(a0: float, a1: float) -> bool:
-    if a1 < 0:
-        raise OutsideDomain("need a1 >= 0")
-    if a0 - a1 <= 0:
+    if not (a1 >= 0):
+        raise OutsideDomain(f"need a1 >= 0, got {a1}")
+    if not (a0 - a1 > 0):
         raise OutsideDomain(f"need a0 - a1 > 0, got {a0 - a1}")
     return a0 - a1 < NEAR_SINGULAR_FRACTION * a0
 

@@ -139,6 +139,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match=f"{section}.{key}"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("size", -1.0), ("size", 0.0), ("size", float("nan")),
+        ("size", float("inf")), ("size", "1.0"), ("size", True),
+        ("profile", "ring"), ("profile", None),
+        ("delta_k", [1.0, 0.0]), ("delta_k", [float("nan"), 0.0, 0.0]),
+        ("delta_k", [float("inf"), 0.0, 0.0]), ("delta_k", ["1", 0.0, 0.0]),
+        ("delta_k", 1.0),
+    ])
+    def test_pointgas_value_outside_domain_rejected(self, tmp_path, key,
+                                                    value):
+        path = write_config(tmp_path, analyses=["pointgas"],
+                            pointgas={"n_atoms": 10, "n_clouds": 16,
+                                      key: value})
+        with pytest.raises(ConfigInvalid, match=f"pointgas.{key}"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("a1", float("nan")),
+                                            ("a0", float("nan"))])
+    def test_nan_physics_is_outside_domain(self, tmp_path, key, value):
+        path = write_config(tmp_path, analyses=["rho-coefficients"],
+                            physics={key: value})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 3
+        assert not (out / "rho-coefficients.csv").exists()
+
 
 class TestRun:
     def test_empty_analyses_summary_only(self, tmp_path):
@@ -269,6 +297,10 @@ class TestSweep:
         ("pointgas", "pointgas.n_atoms", "10.5"),
         ("memory-protocol", "scenario.kappa", "nan,inf"),
         ("memory-protocol", "scenario.kappa", "0.5,nan"),
+        ("pointgas", "pointgas.size", "1.0,-1.0"),
+        ("pointgas", "pointgas.size", "0.5,nan"),
+        ("pointgas", "pointgas.size", "inf"),
+        ("pointgas", "pointgas.profile", "1.0"),
     ])
     def test_bad_point_writes_nothing(self, tmp_path, analysis, param, values):
         path = write_config(tmp_path, analyses=[analysis])

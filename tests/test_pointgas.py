@@ -1,14 +1,37 @@
 """Tests for the point-scatterer Monte Carlo statistics."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from atomlight import pointgas
 from atomlight.errors import TooFewBatches, UnknownProfile
 from atomlight.pointgas import (box_form_factor, density_correlation,
                                 gaussian_form_factor,
-                                make_rng, sample_cloud, scattering_sum,
+                                make_rng, sample_cloud, sample_clouds,
+                                scattering_sum, scattering_sums,
                                 spawn_rngs, spin_correlation_check,
                                 spin_half_self_product)
+
+
+def reference_clouds(n_atoms, profile, size, rngs):
+    """One generator call per stream, as each cloud was drawn on its own."""
+    if profile == "box":
+        return np.array([rng.uniform(-0.5 * size, 0.5 * size, (n_atoms, 3))
+                         for rng in rngs])
+    return np.array([rng.normal(0.0, size, (n_atoms, 3)) for rng in rngs])
+
+
+def reference_sums(clouds, delta_k):
+    """One 1-D complex exponential sum and one scalar np.abs per cloud."""
+    dk = np.asarray(delta_k, dtype=float)
+    return np.array([float(np.abs(np.sum(np.exp(1j * (pos @ dk))))**2)
+                     for pos in clouds])
+
+
+BLOCK = pointgas._BLOCK_ATOMS
+DELTA_KS = ([0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [1e3, -7.0, 250.0])
 
 
 class TestSampling:
@@ -37,6 +60,68 @@ class TestSampling:
         b = [sample_cloud(10, "box", 1.0, r) for r in spawn_rngs(9, 3)]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+class TestBatchedAgainstReference:
+    @pytest.mark.parametrize("profile", pointgas.PROFILES)
+    @pytest.mark.parametrize("n_atoms, n_clouds", [
+        (1, 1), (1, 16), (1, 1000), (2, 16), (2, 1000), (7, 1000),
+        (100, 1), (100, 1000), (BLOCK - 1, 16), (BLOCK + 1, 1)])
+    def test_bit_identical(self, profile, n_atoms, n_clouds):
+        seed = n_atoms + n_clouds
+        for size in (0.5, 1.7):
+            ref = reference_clouds(n_atoms, profile, size,
+                                   spawn_rngs(seed, n_clouds))
+            clouds = sample_clouds(n_atoms, profile, size,
+                                   spawn_rngs(seed, n_clouds))
+            assert np.array_equal(clouds, ref)
+            for dk in DELTA_KS:
+                ref_sums = reference_sums(ref, dk)
+                assert np.array_equal(scattering_sums(clouds, dk), ref_sums)
+                assert scattering_sum(clouds[0], dk) == ref_sums[0]
+                if n_clouds >= 16 and n_atoms >= 2:
+                    est = density_correlation(clouds, dk)
+                    assert est.raw_mean == float(np.mean(ref_sums))
+
+    def test_more_threads_than_cores_same_bytes(self, monkeypatch):
+        dk = [2.0, -1.0, 0.5]
+        ref = reference_clouds(100, "gaussian", 1.3, spawn_rngs(5, 300))
+        ref_sums = reference_sums(ref, dk)
+        monkeypatch.setattr(pointgas, "_thread_count", lambda: 8)
+        monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 250)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                clouds = sample_clouds(100, "gaussian", 1.3, spawn_rngs(5, 300))
+                assert clouds.tobytes() == ref.tobytes()
+                assert scattering_sums(clouds, dk).tobytes() \
+                    == ref_sums.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_single_block_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(pointgas, "ThreadPoolExecutor", None)
+        clouds = sample_clouds(100, "box", 1.0, spawn_rngs(2, 1))
+        assert scattering_sums(clouds, [1.0, 0.0, 0.0]).shape == (1,)
+
+    def test_ragged_clouds_rejected(self):
+        rngs = spawn_rngs(4, 16)
+        clouds = [sample_cloud(10 + (i == 3), "box", 1.0, r)
+                  for i, r in enumerate(rngs)]
+        with pytest.raises(ValueError):
+            density_correlation(clouds, [1.0, 0.0, 0.0])
+
+    def test_list_of_clouds_accepted(self):
+        clouds = sample_clouds(10, "box", 1.0, spawn_rngs(4, 16))
+        assert density_correlation(list(clouds), [1.0, 0.0, 0.0]) \
+            == density_correlation(clouds, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("size", [-1.0, 0.0, np.nan, np.inf])
+    def test_size_outside_domain_rejected(self, size):
+        for profile in pointgas.PROFILES:
+            with pytest.raises(ValueError, match="size"):
+                sample_clouds(10, profile, size, spawn_rngs(0, 2))
 
 
 class TestScatteringSum:

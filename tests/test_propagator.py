@@ -58,6 +58,14 @@ class TestShortPropagator:
         with pytest.raises(OutsideDomain):
             short_propagator_closed(1.0, -0.1, 1.0)
 
+    @pytest.mark.parametrize("a0, a1", [(1.0, np.nan), (np.nan, 0.3),
+                                        (np.nan, np.nan), (1.0, np.inf)])
+    @pytest.mark.parametrize("coeffs", [short_propagator_closed,
+                                        short_propagator_quadrature])
+    def test_non_finite_outside_domain(self, coeffs, a0, a1):
+        with pytest.raises(OutsideDomain):
+            coeffs(a0, a1, 1.0)
+
     def test_near_singular_flag(self):
         assert short_propagator_closed(1.0, 0.97, 1.0).near_singular
         assert not short_propagator_closed(1.0, 0.5, 1.0).near_singular
