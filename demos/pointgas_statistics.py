@@ -9,7 +9,7 @@ estimator recovers |f|^2 within its error bars.
 import numpy as np
 
 from atomlight.pointgas import (box_form_factor, density_correlation,
-                                sample_clouds, spawn_rngs)
+                                sample_clouds, stream_keys)
 
 
 def main():
@@ -19,8 +19,8 @@ def main():
     print(f"{'dk':>6} {'raw mean':>12} {'corrected':>12} {'+-':>9} "
           f"{'|f|^2 exact':>12}")
     for dk in (0.0, 2.0, 4.0, 8.0, 20.0, 60.0):
-        rngs = spawn_rngs(seed + int(10 * dk), n_clouds)
-        clouds = sample_clouds(n_atoms, "box", size, rngs)
+        keys = stream_keys(seed + int(10 * dk), n_clouds)
+        clouds = sample_clouds(n_atoms, "box", size, keys)
         est = density_correlation(clouds, [dk, 0.0, 0.0])
         exact = box_form_factor([dk, 0.0, 0.0], size)
         print(f"{dk:6.1f} {est.raw_mean:12.2f} {est.corrected_mean:12.6f} "

@@ -13,9 +13,11 @@ Config schema (JSON; unknown keys anywhere are errors):
         "density": null                  // optional; enables OD cross-check
       },
       "modes": {"max_order": 2, "k": 7.4e6},   // max_order: int >= 0
-      "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0,
-                  "a0": 1.0, "a1": 0.3, "column_rho_jz": 0.0,
-                  "stokes_in": [1.0, 0.0, 0.0], "gain": null},
+      "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0,   // finite numbers;
+                  "a0": 1.0, "a1": 0.3,                 // NaN: exit 3
+                  "column_rho_jz": 0.0,
+                  "stokes_in": [1.0, 0.0, 0.0],         // three finite numbers
+                  "gain": null},                        // null or finite
       "pointgas": {"n_atoms": 100,       // int >= 2 (pairs)
                    "n_clouds": 256,      // int >= 16
                    "profile": "box",     // "box" or "gaussian"
@@ -53,7 +55,7 @@ from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
                        paraxial_stokes_map, symplectic_form)
 from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
 from .pointgas import (MIN_BATCHES, PROFILES, density_correlation,
-                       sample_clouds, spawn_rngs)
+                       sample_clouds, stream_keys)
 from .propagator import short_propagator_closed, short_propagator_quadrature
 from .regime import (Scenario, check_fresnel_basis, check_light_series,
                      check_spin_series, fresnel_number)
@@ -104,6 +106,33 @@ def _is_finite_number(value) -> bool:
         or isinstance(value, float) and math.isfinite(value)
 
 
+def _is_finite_triple(value) -> bool:
+    return isinstance(value, list) and len(value) == 3 \
+        and all(map(_is_finite_number, value))
+
+
+def _check_physics(ph: dict) -> None:
+    """Physics values are finite numbers, gain may be null.
+
+    A NaN a0 or a1 passes: the propagator rejects it with OutsideDomain
+    (exit 3), as it rejects any pair outside 0 <= a1 < a0.
+    """
+    for key, value in ph.items():
+        if key == "stokes_in":
+            ok, want = _is_finite_triple(value), "three finite numbers"
+        elif key == "gain":
+            ok = value is None or _is_finite_number(value)
+            want = "null or a finite number"
+        elif key in ("a0", "a1"):
+            ok = _is_finite_number(value) \
+                or isinstance(value, float) and math.isnan(value)
+            want = "a number, not infinite"
+        else:
+            ok, want = _is_finite_number(value), "a finite number"
+        if not ok:
+            raise ConfigInvalid(f"physics.{key} must be {want}: {value!r}")
+
+
 def _check_pointgas(pg: dict) -> None:
     if not (_is_finite_number(pg["size"]) and pg["size"] > 0):
         raise ConfigInvalid(
@@ -112,8 +141,7 @@ def _check_pointgas(pg: dict) -> None:
         raise ConfigInvalid(
             f"pointgas.profile must be one of {PROFILES}: {pg['profile']!r}")
     dk = pg["delta_k"]
-    if not (isinstance(dk, list) and len(dk) == 3
-            and all(map(_is_finite_number, dk))):
+    if not _is_finite_triple(dk):
         raise ConfigInvalid(
             f"pointgas.delta_k must be three finite numbers: {dk!r}")
 
@@ -123,6 +151,7 @@ def _check_values(cfg: dict) -> None:
     for path in _INTEGER_FIELDS:
         section, _, key = path.rpartition(".")
         _check_integer(path, (cfg[section] if section else cfg)[key])
+    _check_physics(cfg["physics"])
     _check_pointgas(cfg["pointgas"])
     if not isinstance(cfg["analyses"], list):
         raise ConfigInvalid("analyses must be a list")
@@ -257,9 +286,9 @@ def _analysis_memory(cfg: dict):
 
 def _analysis_pointgas(cfg: dict):
     pg = cfg["pointgas"]
-    rngs = spawn_rngs(cfg["seed"], pg["n_clouds"])
+    keys = stream_keys(cfg["seed"], pg["n_clouds"])
     clouds = sample_clouds(pg["n_atoms"], pg["profile"], float(pg["size"]),
-                           rngs)
+                           keys)
     est = density_correlation(clouds, pg["delta_k"])
     stats = ("raw_mean", "raw_sem", "corrected_mean", "corrected_sem",
              "self_term")

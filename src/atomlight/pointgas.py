@@ -9,10 +9,14 @@ scatterers.
 
 Randomness uses the counter-based Philox bit generator seeded through
 numpy's SeedSequence; independent clouds come from spawned child
-sequences, so batches are reproducible and uncorrelated.
+sequences, so batches are reproducible and uncorrelated.  The Philox
+keys of all children are derived in one array operation over the spawn
+index, equal to those of SeedSequence(seed).spawn(n), without building
+a SeedSequence or Philox object per stream.
 
 A batch of clouds is one (n_clouds, n_atoms, 3) array whose row i is
-filled from stream i alone, so the rows can be drawn in any order.  The
+filled from stream i alone, so the rows can be drawn in any order: each
+thread reseats one Philox to the key of each of its rows.  The
 scattering sums run over blocks of whole clouds of about 2**16 atoms
 each: phases, cos and sin into one complex buffer, and a sum along the
 atom axis per cloud.  Rows (sampling) and blocks (sums) are split over
@@ -22,6 +26,7 @@ writes its own rows, so the results do not depend on the thread count.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +49,70 @@ def spawn_rngs(seed: int, n: int) -> list:
     """n independent Philox streams spawned from one root seed."""
     children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
+
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx, NEP 19): 32-bit
+# words, a pool of four, and the multipliers of its two hash streams.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """One hashed word and the next hash constant.
+
+    value is an int or a uint64 array of 32-bit words; products of two
+    such words fit in 64 bits, so masking keeps uint32 arithmetic.
+    """
+    next_const = const * mult & _MASK32
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> 16, next_const
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def stream_keys(seed: int, n: int) -> np.ndarray:
+    """Philox keys (n, 2) of the n streams spawned from one root seed.
+
+    Row i equals SeedSequence(seed).spawn(n)[i].generate_state(2,
+    np.uint64), the key Philox takes from child i, so a Philox with key
+    row i and a zero counter draws what spawn_rngs(seed, n)[i] draws.
+    Only the last entropy word, the spawn index, differs between the
+    children: the pool is mixed once and the spawn word over an array.
+    """
+    seed = operator.index(seed)
+    if seed < 0 or not 0 <= n <= 2**32:
+        raise ValueError(
+            f"need seed >= 0 and 0 <= n <= 2**32, got {seed}, {n}")
+    words = [seed >> s & _MASK32
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in [*words[_POOL_SIZE:], np.arange(n, dtype=np.uint64)]:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    state, const = [], _INIT_B
+    for word in pool:
+        value, const = _hashmix(word, const, _MULT_B)
+        state.append(value)
+    keys = np.empty((n, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << 32
+    keys[:, 1] = state[2] | state[3] << 32
+    return keys
 
 
 # Atoms per block of the scattering sums.  On a 2-core host blocks of
@@ -78,17 +147,8 @@ def _split(task, n_tasks: int) -> None:
             future.result()
 
 
-def sample_clouds(n_atoms: int, profile: str, size: float,
-                  rngs) -> np.ndarray:
-    """Positions (len(rngs), n_atoms, 3); row i is drawn from rngs[i].
-
-    box      -- uniform over a cube of side `size` centered at origin;
-    gaussian -- isotropic normal with standard deviation `size`.
-
-    Row i holds the same bits as rngs[i].uniform(-size/2, size/2,
-    (n_atoms, 3)) or rngs[i].normal(0, size, (n_atoms, 3)): the same
-    draws, scaled and shifted by the same operations.
-    """
+def _fill_rule(n_atoms: int, profile: str, size: float):
+    """Generator method that fills a cloud, and the shift after `*= size`."""
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
     if profile == "box":
@@ -100,14 +160,40 @@ def sample_clouds(n_atoms: int, profile: str, size: float,
             f"profile must be one of {PROFILES}, got {profile!r}")
     if not (np.isfinite(size) and size > 0):
         raise ValueError(f"size must be finite and positive, got {size!r}")
-    rngs = list(rngs)
-    out = np.empty((len(rngs), n_atoms, 3))
+    return fill, shift
+
+
+def sample_clouds(n_atoms: int, profile: str, size: float,
+                  keys) -> np.ndarray:
+    """Positions (len(keys), n_atoms, 3); row i drawn with Philox key keys[i].
+
+    box      -- uniform over a cube of side `size` centered at origin;
+    gaussian -- isotropic normal with standard deviation `size`.
+
+    keys is an (n, 2) uint64 array such as stream_keys(seed, n).  Row i
+    holds the same bits as rng.uniform(-size/2, size/2, (n_atoms, 3)) or
+    rng.normal(0, size, (n_atoms, 3)) of a fresh Philox generator with
+    key keys[i] (spawn_rngs(seed, n)[i] for stream_keys(seed, n)): the
+    same draws, scaled and shifted by the same operations.
+    """
+    fill, shift = _fill_rule(n_atoms, profile, size)
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.ndim != 2 or keys.shape[1] != 2:
+        raise ValueError(f"keys must have shape (n, 2), got {keys.shape}")
+    out = np.empty((len(keys), n_atoms, 3))
 
     def draw(rows):
+        bit_gen = np.random.Philox(0)
+        # A fresh Philox state: zero counter, empty buffer, no spare
+        # uint32.  Only the key changes from row to row.
+        state = bit_gen.state
+        fill_row = getattr(np.random.Generator(bit_gen), fill)
         for i in rows:
-            getattr(rngs[i], fill)(out=out[i])
+            state["state"]["key"] = keys[i]
+            bit_gen.state = state
+            fill_row(out=out[i])
 
-    _split(draw, len(rngs))
+    _split(draw, len(keys))
     out *= size
     out += shift
     return out
@@ -115,8 +201,13 @@ def sample_clouds(n_atoms: int, profile: str, size: float,
 
 def sample_cloud(n_atoms: int, profile: str, size: float,
                  rng: np.random.Generator) -> np.ndarray:
-    """Positions (n_atoms, 3) of one cloud; see sample_clouds."""
-    return sample_clouds(n_atoms, profile, size, [rng])[0]
+    """Positions (n_atoms, 3) of one cloud drawn by rng; see sample_clouds."""
+    fill, shift = _fill_rule(n_atoms, profile, size)
+    out = np.empty((n_atoms, 3))
+    getattr(rng, fill)(out=out)
+    out *= size
+    out += shift
+    return out
 
 
 def scattering_sums(clouds, delta_k) -> np.ndarray:

@@ -46,6 +46,8 @@ def _check_domain(a0: float, a1: float) -> bool:
         raise OutsideDomain(f"need a1 >= 0, got {a1}")
     if not (a0 - a1 > 0):
         raise OutsideDomain(f"need a0 - a1 > 0, got {a0 - a1}")
+    if not np.isfinite(a0):
+        raise OutsideDomain(f"need a finite a0, got {a0}")
     return a0 - a1 < NEAR_SINGULAR_FRACTION * a0
 
 

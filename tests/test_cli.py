@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import atomlight
-from atomlight import propagator
+from atomlight import pointgas, propagator
 from atomlight.cli import ANALYSES, load_config, main
 from atomlight.errors import BadParameterPath, ConfigInvalid
 from atomlight.cli import _resolve_path, sweep
@@ -167,6 +167,23 @@ class TestConfigValidation:
         assert main(["--out", str(out), "run", str(path)]) == 3
         assert not (out / "rho-coefficients.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("a0", float("inf")), ("a0", float("-inf")), ("a1", float("inf")),
+        ("a0", "1.0"), ("a1", True), ("beta", float("nan")),
+        ("c1", float("inf")), ("column_rho_jz", None), ("c0", "x"),
+        ("stokes_in", [1.0, 0.0]), ("stokes_in", [float("nan"), 0.0, 0.0]),
+        ("stokes_in", 1.0), ("gain", float("inf")), ("gain", "x"),
+    ])
+    def test_physics_value_outside_domain_rejected(self, tmp_path, key,
+                                                   value):
+        path = write_config(tmp_path, physics={key: value}, analyses=[
+            "rho-coefficients", "stokes-map", "memory-protocol"])
+        with pytest.raises(ConfigInvalid, match=f"physics.{key}"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+
 
 class TestRun:
     def test_empty_analyses_summary_only(self, tmp_path):
@@ -227,6 +244,30 @@ class TestRun:
         from atomlight.propagator import short_propagator_closed
         expect = short_propagator_closed(1.3, 0.45, 1.0).rho_par
         assert float(row["rho_par_closed"]) == expect
+
+    def test_pointgas_run_builds_no_object_per_stream(self, tmp_path,
+                                                      monkeypatch):
+        philox, spawns = [], []
+        philox_class = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            philox.append(args)
+            return philox_class(*args, **kwargs)
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawns.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        monkeypatch.setattr(pointgas, "spawn_rngs",
+                            lambda *args: spawns.append(args))
+        path = write_config(tmp_path, analyses=["pointgas"],
+                            pointgas={"n_atoms": 10, "n_clouds": 1000})
+        assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 0
+        assert spawns == []
+        assert 1 <= len(philox) <= pointgas._thread_count()
 
 
 class TestSweep:
@@ -301,6 +342,9 @@ class TestSweep:
         ("pointgas", "pointgas.size", "0.5,nan"),
         ("pointgas", "pointgas.size", "inf"),
         ("pointgas", "pointgas.profile", "1.0"),
+        ("rho-coefficients", "physics.a0", "1.0,inf"),
+        ("stokes-map", "physics.beta", "nan"),
+        ("memory-protocol", "physics.gain", "0.5,inf"),
     ])
     def test_bad_point_writes_nothing(self, tmp_path, analysis, param, values):
         path = write_config(tmp_path, analyses=[analysis])

@@ -12,7 +12,7 @@ from atomlight.pointgas import (box_form_factor, density_correlation,
                                 make_rng, sample_cloud, sample_clouds,
                                 scattering_sum, scattering_sums,
                                 spawn_rngs, spin_correlation_check,
-                                spin_half_self_product)
+                                spin_half_self_product, stream_keys)
 
 
 def reference_clouds(n_atoms, profile, size, rngs):
@@ -73,7 +73,7 @@ class TestBatchedAgainstReference:
             ref = reference_clouds(n_atoms, profile, size,
                                    spawn_rngs(seed, n_clouds))
             clouds = sample_clouds(n_atoms, profile, size,
-                                   spawn_rngs(seed, n_clouds))
+                                   stream_keys(seed, n_clouds))
             assert np.array_equal(clouds, ref)
             for dk in DELTA_KS:
                 ref_sums = reference_sums(ref, dk)
@@ -93,7 +93,8 @@ class TestBatchedAgainstReference:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                clouds = sample_clouds(100, "gaussian", 1.3, spawn_rngs(5, 300))
+                clouds = sample_clouds(100, "gaussian", 1.3,
+                                       stream_keys(5, 300))
                 assert clouds.tobytes() == ref.tobytes()
                 assert scattering_sums(clouds, dk).tobytes() \
                     == ref_sums.tobytes()
@@ -102,7 +103,7 @@ class TestBatchedAgainstReference:
 
     def test_single_block_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(pointgas, "ThreadPoolExecutor", None)
-        clouds = sample_clouds(100, "box", 1.0, spawn_rngs(2, 1))
+        clouds = sample_clouds(100, "box", 1.0, stream_keys(2, 1))
         assert scattering_sums(clouds, [1.0, 0.0, 0.0]).shape == (1,)
 
     def test_ragged_clouds_rejected(self):
@@ -113,7 +114,7 @@ class TestBatchedAgainstReference:
             density_correlation(clouds, [1.0, 0.0, 0.0])
 
     def test_list_of_clouds_accepted(self):
-        clouds = sample_clouds(10, "box", 1.0, spawn_rngs(4, 16))
+        clouds = sample_clouds(10, "box", 1.0, stream_keys(4, 16))
         assert density_correlation(list(clouds), [1.0, 0.0, 0.0]) \
             == density_correlation(clouds, [1.0, 0.0, 0.0])
 
@@ -121,7 +122,48 @@ class TestBatchedAgainstReference:
     def test_size_outside_domain_rejected(self, size):
         for profile in pointgas.PROFILES:
             with pytest.raises(ValueError, match="size"):
-                sample_clouds(10, profile, size, spawn_rngs(0, 2))
+                sample_clouds(10, profile, size, stream_keys(0, 2))
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 17, 5000])
+    def test_keys_match_seed_sequence(self, seed, n):
+        children = np.random.SeedSequence(seed).spawn(n)
+        ref = np.array([c.generate_state(2, np.uint64) for c in children])
+        keys = stream_keys(seed, n)
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, ref)
+
+    def test_key_is_the_spawned_philox_key(self):
+        keys = stream_keys(2**40 + 3, 3)
+        for key, rng in zip(keys, spawn_rngs(2**40 + 3, 3)):
+            assert np.array_equal(rng.bit_generator.state["state"]["key"], key)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 12345, 2**40 + 3, 2**64 - 1])
+    @pytest.mark.parametrize("profile", pointgas.PROFILES)
+    def test_rows_match_spawned_streams(self, seed, profile):
+        ref = reference_clouds(20, profile, 0.7, spawn_rngs(seed, 64))
+        assert np.array_equal(
+            sample_clouds(20, profile, 0.7, stream_keys(seed, 64)), ref)
+        for row, rng in zip(ref, spawn_rngs(seed, 3)):
+            assert np.array_equal(sample_cloud(20, profile, 0.7, rng), row)
+
+    def test_no_streams(self):
+        assert stream_keys(3, 0).shape == (0, 2)
+        assert sample_clouds(5, "box", 1.0, stream_keys(3, 0)).shape \
+            == (0, 5, 3)
+
+    @pytest.mark.parametrize("seed, n", [(-1, 4), (1, -1), (1.0, 4)])
+    def test_bad_arguments_rejected(self, seed, n):
+        with pytest.raises((ValueError, TypeError)):
+            stream_keys(seed, n)
+
+    @pytest.mark.parametrize("keys", [np.zeros(2, np.uint64),
+                                      np.zeros((4, 3), np.uint64)])
+    def test_key_shape_checked(self, keys):
+        with pytest.raises(ValueError, match="keys"):
+            sample_clouds(5, "box", 1.0, keys)
 
 
 class TestScatteringSum:

@@ -59,7 +59,8 @@ class TestShortPropagator:
             short_propagator_closed(1.0, -0.1, 1.0)
 
     @pytest.mark.parametrize("a0, a1", [(1.0, np.nan), (np.nan, 0.3),
-                                        (np.nan, np.nan), (1.0, np.inf)])
+                                        (np.nan, np.nan), (1.0, np.inf),
+                                        (np.inf, 0.3), (np.inf, 0.0)])
     @pytest.mark.parametrize("coeffs", [short_propagator_closed,
                                         short_propagator_quadrature])
     def test_non_finite_outside_domain(self, coeffs, a0, a1):
