@@ -12,7 +12,8 @@ Config schema (JSON; unknown keys anywhere are errors):
         "transverse_size": 1e-3, "detuning": 1e9, "linewidth": 3e7,
         "density": null                  // optional; enables OD cross-check
       },
-      "modes": {"max_order": 2, "k": 7.4e6},   // max_order: int >= 0
+      "modes": {"max_order": 2,          // int >= 0
+                "k": 7.4e6},             // finite, > 0
       "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0,   // finite numbers;
                   "a0": 1.0, "a1": 0.3,                 // NaN: exit 3
                   "column_rho_jz": 0.0,
@@ -54,8 +55,8 @@ from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
                        collective_map_matrix, memory_protocol,
                        paraxial_stokes_map, symplectic_form)
 from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
-from .pointgas import (MIN_BATCHES, PROFILES, density_correlation,
-                       sample_clouds, stream_keys)
+from .pointgas import (MIN_BATCHES, PROFILES, SampledClouds,
+                       density_correlation, stream_keys)
 from .propagator import short_propagator_closed, short_propagator_quadrature
 from .regime import (Scenario, check_fresnel_basis, check_light_series,
                      check_spin_series, fresnel_number)
@@ -133,10 +134,13 @@ def _check_physics(ph: dict) -> None:
             raise ConfigInvalid(f"physics.{key} must be {want}: {value!r}")
 
 
+def _check_positive(path: str, value) -> None:
+    if not (_is_finite_number(value) and value > 0):
+        raise ConfigInvalid(f"{path} must be a finite number > 0: {value!r}")
+
+
 def _check_pointgas(pg: dict) -> None:
-    if not (_is_finite_number(pg["size"]) and pg["size"] > 0):
-        raise ConfigInvalid(
-            f"pointgas.size must be a finite number > 0: {pg['size']!r}")
+    _check_positive("pointgas.size", pg["size"])
     if pg["profile"] not in PROFILES:
         raise ConfigInvalid(
             f"pointgas.profile must be one of {PROFILES}: {pg['profile']!r}")
@@ -151,6 +155,7 @@ def _check_values(cfg: dict) -> None:
     for path in _INTEGER_FIELDS:
         section, _, key = path.rpartition(".")
         _check_integer(path, (cfg[section] if section else cfg)[key])
+    _check_positive("modes.k", cfg["modes"]["k"])
     _check_physics(cfg["physics"])
     _check_pointgas(cfg["pointgas"])
     if not isinstance(cfg["analyses"], list):
@@ -286,9 +291,8 @@ def _analysis_memory(cfg: dict):
 
 def _analysis_pointgas(cfg: dict):
     pg = cfg["pointgas"]
-    keys = stream_keys(cfg["seed"], pg["n_clouds"])
-    clouds = sample_clouds(pg["n_atoms"], pg["profile"], float(pg["size"]),
-                           keys)
+    clouds = SampledClouds(pg["n_atoms"], pg["profile"], float(pg["size"]),
+                           stream_keys(cfg["seed"], pg["n_clouds"]))
     est = density_correlation(clouds, pg["delta_k"])
     stats = ("raw_mean", "raw_sem", "corrected_mean", "corrected_sem",
              "self_term")

@@ -14,14 +14,17 @@ keys of all children are derived in one array operation over the spawn
 index, equal to those of SeedSequence(seed).spawn(n), without building
 a SeedSequence or Philox object per stream.
 
-A batch of clouds is one (n_clouds, n_atoms, 3) array whose row i is
-filled from stream i alone, so the rows can be drawn in any order: each
-thread reseats one Philox to the key of each of its rows.  The
-scattering sums run over blocks of whole clouds of about 2**16 atoms
-each: phases, cos and sin into one complex buffer, and a sum along the
-atom axis per cloud.  Rows (sampling) and blocks (sums) are split over
-as many threads as the host gives this process cores; every thread
-writes its own rows, so the results do not depend on the thread count.
+Cloud i is filled from stream i alone, so the clouds can be drawn in
+any order: each thread reseats one Philox to the key of each of its
+clouds.  Sampling and summing run over blocks of whole clouds of about
+2**16 atoms each, split over as many threads as the host gives this
+process cores.  A block is drawn, then scaled and shifted as a whole;
+its phases, cos and sin go into one complex buffer, summed along the
+atom axis per cloud.  sample_clouds returns the whole (n_clouds,
+n_atoms, 3) batch and scattering_sums sums a given batch;
+sampled_scattering_sums draws and sums each block in buffers its
+thread reuses, and never holds the batch.  Every thread writes its own
+clouds, so the results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +119,9 @@ def stream_keys(seed: int, n: int) -> np.ndarray:
     return keys
 
 
-# Atoms per block of the scattering sums.  On a 2-core host blocks of
-# 2**14 to 2**18 atoms took about the same time, 2**12 and 2**20 longer.
+# Atoms per block of whole clouds.  On a 2-core host, drawing and
+# summing in blocks of 2**14 to 2**17 atoms took about the same time,
+# in blocks of 2**12 atoms longer.
 _BLOCK_ATOMS = 2**16
 
 
@@ -128,21 +133,31 @@ def _thread_count() -> int:
         return os.cpu_count() or 1
 
 
-def _split(task, n_tasks: int) -> None:
-    """Call task(indices) on disjoint strided slices of range(n_tasks).
+def _over_blocks(n_clouds: int, n_atoms: int, start) -> None:
+    """Run per-thread work over blocks of whole clouds.
 
-    One slice per thread; a single task runs on the calling thread.  The
-    tasks run numpy code that releases the GIL and must call no public
-    function of this package, so that a tracer wrapping those functions
-    sees them from one thread only.
+    A block holds `rows` clouds, about _BLOCK_ATOMS atoms; the last one
+    may hold fewer.  Thread k of n takes blocks k, k + n, ...; it calls
+    start(rows) once, for work that owns its buffers, then work(block)
+    with the slice of clouds of each of its blocks.  A single block runs
+    on the calling thread.  The work runs numpy code that releases the
+    GIL and must call no public function of this package, so that a
+    tracer wrapping those functions sees them from one thread only.
     """
-    n_threads = min(_thread_count(), n_tasks)
+    rows = max(1, _BLOCK_ATOMS // max(n_atoms, 1))
+    n_blocks = -(-n_clouds // rows)
+
+    def task(first, step):
+        work = start(rows)
+        for b in range(first, n_blocks, step):
+            work(slice(b * rows, min((b + 1) * rows, n_clouds)))
+
+    n_threads = min(_thread_count(), n_blocks)
     if n_threads <= 1:
-        task(range(n_tasks))
+        task(0, 1)
         return
     with ThreadPoolExecutor(n_threads) as pool:
-        futures = [pool.submit(task, range(k, n_tasks, n_threads))
-                   for k in range(n_threads)]
+        futures = [pool.submit(task, k, n_threads) for k in range(n_threads)]
         for future in futures:
             future.result()
 
@@ -163,6 +178,66 @@ def _fill_rule(n_atoms: int, profile: str, size: float):
     return fill, shift
 
 
+def _as_keys(keys) -> np.ndarray:
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.ndim != 2 or keys.shape[1] != 2:
+        raise ValueError(f"keys must have shape (n, 2), got {keys.shape}")
+    return keys
+
+
+def _cloud_drawer(fill: str, size: float, shift: float):
+    """draw(keys, out): row j of out is the cloud of Philox key keys[j].
+
+    One Philox, reseated per row, fills the rows with the Generator
+    method `fill`; the block is then scaled and shifted as a whole.
+    """
+    bit_gen = np.random.Philox(0)
+    # A fresh Philox state: zero counter, empty buffer, no spare uint32.
+    # Only the key changes from row to row.
+    state = bit_gen.state
+    fill_row = getattr(np.random.Generator(bit_gen), fill)
+
+    def draw(keys, out):
+        for key, row in zip(keys, out):
+            state["state"]["key"] = key
+            bit_gen.state = state
+            fill_row(out=row)
+        out *= size
+        out += shift
+
+    return draw
+
+
+def _block_summer(rows: int, n_atoms: int, dk: np.ndarray):
+    """Block sums of one thread: (add_up, buffer).
+
+    add_up(clouds, out) sets out[j] = sum_a exp(i dk . r_a) of cloud j
+    of a block of at most `rows` clouds of n_atoms atoms, such as one
+    drawn into the front of buffer, a (rows, n_atoms, 3) array.  The
+    phases and the complex terms go to arrays reused from block to
+    block; the terms overwrite buffer, whose positions the phases no
+    longer need.
+    """
+    positions = np.empty((rows, n_atoms, 3))
+    phases = np.empty((rows, n_atoms))
+    terms = positions.reshape(-1)[:2 * rows * n_atoms].view(complex) \
+        .reshape(rows, n_atoms)
+
+    def add_up(clouds, out):
+        n = len(clouds)
+        np.matmul(clouds, dk, out=phases[:n])
+        np.cos(phases[:n], out=terms[:n].real)
+        np.sin(phases[:n], out=terms[:n].imag)
+        terms[:n].sum(axis=-1, out=out)
+
+    return add_up, positions
+
+
+def _intensities(amps: np.ndarray) -> np.ndarray:
+    # Scalar np.abs: the array loop rounds some amplitudes differently.
+    return np.array([np.abs(amp)**2 for amp in amps])
+
+
 def sample_clouds(n_atoms: int, profile: str, size: float,
                   keys) -> np.ndarray:
     """Positions (len(keys), n_atoms, 3); row i drawn with Philox key keys[i].
@@ -177,25 +252,14 @@ def sample_clouds(n_atoms: int, profile: str, size: float,
     same draws, scaled and shifted by the same operations.
     """
     fill, shift = _fill_rule(n_atoms, profile, size)
-    keys = np.asarray(keys, dtype=np.uint64)
-    if keys.ndim != 2 or keys.shape[1] != 2:
-        raise ValueError(f"keys must have shape (n, 2), got {keys.shape}")
+    keys = _as_keys(keys)
     out = np.empty((len(keys), n_atoms, 3))
 
-    def draw(rows):
-        bit_gen = np.random.Philox(0)
-        # A fresh Philox state: zero counter, empty buffer, no spare
-        # uint32.  Only the key changes from row to row.
-        state = bit_gen.state
-        fill_row = getattr(np.random.Generator(bit_gen), fill)
-        for i in rows:
-            state["state"]["key"] = keys[i]
-            bit_gen.state = state
-            fill_row(out=out[i])
+    def start(rows):
+        draw = _cloud_drawer(fill, size, shift)
+        return lambda block: draw(keys[block], out[block])
 
-    _split(draw, len(keys))
-    out *= size
-    out += shift
+    _over_blocks(len(keys), n_atoms, start)
     return out
 
 
@@ -221,21 +285,55 @@ def scattering_sums(clouds, delta_k) -> np.ndarray:
             f"clouds must have shape (n_clouds, n_atoms, 3), got {clouds.shape}")
     dk = np.asarray(delta_k, dtype=float)
     n_clouds, n_atoms = clouds.shape[:2]
-    rows = max(1, _BLOCK_ATOMS // max(n_atoms, 1))
     amps = np.empty(n_clouds, dtype=complex)
 
-    def add_up(blocks):
-        for b in blocks:
-            block = slice(b * rows, (b + 1) * rows)
-            phases = clouds[block] @ dk
-            terms = np.empty(phases.shape, dtype=complex)
-            np.cos(phases, out=terms.real)
-            np.sin(phases, out=terms.imag)
-            amps[block] = terms.sum(axis=-1)
+    def start(rows):
+        add_up, _ = _block_summer(rows, n_atoms, dk)
+        return lambda block: add_up(clouds[block], amps[block])
 
-    _split(add_up, -(-n_clouds // rows))
-    # Scalar np.abs: the array loop rounds some amplitudes differently.
-    return np.array([np.abs(amp)**2 for amp in amps])
+    _over_blocks(n_clouds, n_atoms, start)
+    return _intensities(amps)
+
+
+def sampled_scattering_sums(n_atoms: int, profile: str, size: float,
+                            keys, delta_k) -> np.ndarray:
+    """scattering_sums(sample_clouds(n_atoms, profile, size, keys), delta_k).
+
+    The same bits, without the (len(keys), n_atoms, 3) batch: each
+    thread draws a block of clouds into its own buffer and sums it while
+    the block is in cache.
+    """
+    fill, shift = _fill_rule(n_atoms, profile, size)
+    keys = _as_keys(keys)
+    dk = np.asarray(delta_k, dtype=float)
+    amps = np.empty(len(keys), dtype=complex)
+
+    def start(rows):
+        draw = _cloud_drawer(fill, size, shift)
+        add_up, positions = _block_summer(rows, n_atoms, dk)
+
+        def work(block):
+            clouds = positions[:block.stop - block.start]
+            draw(keys[block], clouds)
+            add_up(clouds, amps[block])
+
+        return work
+
+    _over_blocks(len(keys), n_atoms, start)
+    return _intensities(amps)
+
+
+class SampledClouds(NamedTuple):
+    """The clouds of sample_clouds(n_atoms, profile, size, keys), unsampled.
+
+    density_correlation draws and sums them block by block through
+    sampled_scattering_sums, without the (len(keys), n_atoms, 3) batch.
+    """
+
+    n_atoms: int
+    profile: str
+    size: float
+    keys: np.ndarray
 
 
 def scattering_sum(positions: np.ndarray, delta_k) -> float:
@@ -261,35 +359,51 @@ class CorrelationEstimate:
         """Shot-noise floor: N atoms always contribute |1|^2 each."""
         return self.n_atoms
 
+    @classmethod
+    def from_sums(cls, sums, n_atoms: int,
+                  delta_k) -> "CorrelationEstimate":
+        """Statistics of the scattering sums of clouds of n_atoms atoms.
+
+        sums holds one |sum exp|^2 per cloud, as scattering_sums or
+        sampled_scattering_sums return.  Requires at least 16 clouds so
+        the standard error of the mean is meaningful; raises
+        TooFewBatches otherwise.  The corrected estimator subtracts the
+        exact self-term N and normalizes by the N^2 - N ordered pairs,
+        converging to |f(delta_k)|^2 with f the normalized form factor
+        of the density profile.
+        """
+        vals = np.asarray(sums, dtype=float)
+        if len(vals) < MIN_BATCHES:
+            raise TooFewBatches(
+                f"need at least {MIN_BATCHES} clouds, got {len(vals)}")
+        n_atoms = operator.index(n_atoms)
+        raw_mean = float(np.mean(vals))
+        raw_sem = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
+        denom = n_atoms * (n_atoms - 1)
+        corr = (vals - n_atoms) / denom
+        return cls(
+            delta_k=tuple(float(v) for v in np.asarray(delta_k, dtype=float)),
+            n_atoms=n_atoms, n_batches=len(vals),
+            raw_mean=raw_mean, raw_sem=raw_sem,
+            corrected_mean=float(np.mean(corr)),
+            corrected_sem=float(np.std(corr, ddof=1) / np.sqrt(len(corr))))
+
 
 def density_correlation(clouds, delta_k) -> CorrelationEstimate:
     """Estimate the scattering sum over a batch of independent clouds.
 
-    `clouds` is a (c, n, 3) array, or anything np.asarray turns into one;
-    a ragged list of clouds raises ValueError.
-
-    Requires at least 16 clouds so the standard error of the mean is
-    meaningful; raises TooFewBatches otherwise.  The corrected estimator
-    subtracts the exact self-term N and normalizes by the N^2 - N
-    ordered pairs, converging to |f(delta_k)|^2 with f the normalized
-    form factor of the density profile.
+    `clouds` is a SampledClouds, a (c, n, 3) array, or anything
+    np.asarray turns into one; a ragged list of clouds raises
+    ValueError.  The statistics, and the TooFewBatches error below 16
+    clouds, are CorrelationEstimate.from_sums.
     """
-    clouds = np.asarray(clouds, dtype=float)
-    if len(clouds) < MIN_BATCHES:
-        raise TooFewBatches(
-            f"need at least {MIN_BATCHES} clouds, got {len(clouds)}")
-    vals = scattering_sums(clouds, delta_k)
-    n_atoms = clouds.shape[1]
-    raw_mean = float(np.mean(vals))
-    raw_sem = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-    denom = n_atoms * (n_atoms - 1)
-    corr = (vals - n_atoms) / denom
-    return CorrelationEstimate(
-        delta_k=tuple(float(v) for v in np.asarray(delta_k, dtype=float)),
-        n_atoms=n_atoms, n_batches=len(clouds),
-        raw_mean=raw_mean, raw_sem=raw_sem,
-        corrected_mean=float(np.mean(corr)),
-        corrected_sem=float(np.std(corr, ddof=1) / np.sqrt(len(corr))))
+    if isinstance(clouds, SampledClouds):
+        sums, n_atoms = sampled_scattering_sums(*clouds, delta_k), \
+            clouds.n_atoms
+    else:
+        clouds = np.asarray(clouds, dtype=float)
+        sums, n_atoms = scattering_sums(clouds, delta_k), clouds.shape[1]
+    return CorrelationEstimate.from_sums(sums, n_atoms, delta_k)
 
 
 def box_form_factor(delta_k, size: float) -> float:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import atomlight
 from atomlight import pointgas, propagator
 from atomlight.cli import ANALYSES, load_config, main
 from atomlight.errors import BadParameterPath, ConfigInvalid
-from atomlight.cli import _resolve_path, sweep
+from atomlight.cli import _fmt, _resolve_path, sweep
+from atomlight.pointgas import density_correlation, sample_clouds, stream_keys
 
 
 BASE_CONFIG = {
@@ -158,6 +160,17 @@ class TestConfigValidation:
         assert main(["--out", str(out), "run", str(path)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", [float("inf"), float("nan"), "x", -1.0, 0,
+                                   True])
+    def test_modes_k_outside_domain_rejected(self, tmp_path, k):
+        path = write_config(tmp_path, analyses=["stokes-map"],
+                            modes={"k": k})
+        with pytest.raises(ConfigInvalid, match="modes.k"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("a1", float("nan")),
                                             ("a0", float("nan"))])
     def test_nan_physics_is_outside_domain(self, tmp_path, key, value):
@@ -270,6 +283,48 @@ class TestRun:
         assert 1 <= len(philox) <= pointgas._thread_count()
 
 
+    @pytest.mark.parametrize("profile", pointgas.PROFILES)
+    @pytest.mark.parametrize("n_atoms, n_clouds", [(100, 64), (20000, 17)])
+    def test_pointgas_row_is_density_correlation(self, tmp_path, profile,
+                                                 n_atoms, n_clouds):
+        dk = [3.0, -1.0, 0.5]
+        path = write_config(tmp_path, analyses=["pointgas"], pointgas={
+            "n_atoms": n_atoms, "n_clouds": n_clouds, "profile": profile,
+            "size": 1.7, "delta_k": dk})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 0
+        est = density_correlation(
+            sample_clouds(n_atoms, profile, 1.7, stream_keys(11, n_clouds)),
+            dk)
+        expect = {**dict(zip(("dk_x", "dk_y", "dk_z"), est.delta_k)),
+                  "n_atoms": est.n_atoms, "n_clouds": est.n_batches,
+                  **{k: getattr(est, k) for k in (
+                      "raw_mean", "raw_sem", "corrected_mean",
+                      "corrected_sem", "self_term")}}
+        assert read_csv_rows(out / "pointgas.csv") \
+            == [{k: _fmt(v) for k, v in expect.items()}]
+
+    def test_pointgas_run_holds_no_batch(self, tmp_path, monkeypatch):
+        n_atoms, n_clouds = 2000, 512
+        batch_bytes = n_atoms * n_clouds * 3 * 8
+        monkeypatch.setattr(pointgas, "_thread_count", lambda: 2)
+        path = write_config(tmp_path, analyses=["pointgas"], pointgas={
+            "n_atoms": n_atoms, "n_clouds": n_clouds})
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["--out", str(tmp_path / "out"), "run",
+                         str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < batch_bytes / 4
+
+
 class TestSweep:
     def test_kappa_sweep_memory_variance(self, tmp_path):
         path = write_config(tmp_path, analyses=["memory-protocol"])
@@ -345,6 +400,7 @@ class TestSweep:
         ("rho-coefficients", "physics.a0", "1.0,inf"),
         ("stokes-map", "physics.beta", "nan"),
         ("memory-protocol", "physics.gain", "0.5,inf"),
+        ("stokes-map", "modes.k", "1.0,inf"),
     ])
     def test_bad_point_writes_nothing(self, tmp_path, analysis, param, values):
         path = write_config(tmp_path, analyses=[analysis])

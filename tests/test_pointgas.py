@@ -7,11 +7,13 @@ import pytest
 
 from atomlight import pointgas
 from atomlight.errors import TooFewBatches, UnknownProfile
-from atomlight.pointgas import (box_form_factor, density_correlation,
-                                gaussian_form_factor,
+from atomlight.pointgas import (CorrelationEstimate, SampledClouds,
+                                box_form_factor,
+                                density_correlation, gaussian_form_factor,
                                 make_rng, sample_cloud, sample_clouds,
-                                scattering_sum, scattering_sums,
-                                spawn_rngs, spin_correlation_check,
+                                sampled_scattering_sums, scattering_sum,
+                                scattering_sums, spawn_rngs,
+                                spin_correlation_check,
                                 spin_half_self_product, stream_keys)
 
 
@@ -125,6 +127,80 @@ class TestBatchedAgainstReference:
                 sample_clouds(10, profile, size, stream_keys(0, 2))
 
 
+class TestSampledScatteringSums:
+    # The shapes of TestBatchedAgainstReference, and 3000-atom clouds in
+    # blocks of 21: 50 clouds end in a block of 8.
+    @pytest.mark.parametrize("profile", pointgas.PROFILES)
+    @pytest.mark.parametrize("n_atoms, n_clouds", [
+        (1, 1), (1, 16), (1, 1000), (2, 16), (2, 1000), (7, 1000),
+        (100, 1), (100, 1000), (3000, 50), (BLOCK - 1, 16), (BLOCK + 1, 1)])
+    def test_bit_identical_to_batch(self, profile, n_atoms, n_clouds):
+        keys = stream_keys(n_atoms + n_clouds, n_clouds)
+        clouds = sample_clouds(n_atoms, profile, 1.7, keys)
+        for dk in DELTA_KS:
+            assert np.array_equal(
+                sampled_scattering_sums(n_atoms, profile, 1.7, keys, dk),
+                scattering_sums(clouds, dk))
+
+    def test_more_threads_than_cores_same_bytes(self, monkeypatch):
+        dk = [2.0, -1.0, 0.5]
+        ref = reference_sums(
+            reference_clouds(100, "gaussian", 1.3, spawn_rngs(5, 300)), dk)
+        monkeypatch.setattr(pointgas, "_thread_count", lambda: 8)
+        monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 250)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                sums = sampled_scattering_sums(100, "gaussian", 1.3,
+                                               stream_keys(5, 300), dk)
+                assert sums.tobytes() == ref.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_single_block_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(pointgas, "ThreadPoolExecutor", None)
+        sums = sampled_scattering_sums(100, "box", 1.0, stream_keys(2, 16),
+                                       [1.0, 0.0, 0.0])
+        assert sums.shape == (16,)
+
+    def test_one_philox_per_thread(self, monkeypatch):
+        built = []
+        philox_class = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(args)
+            return philox_class(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(pointgas, "_thread_count", lambda: 3)
+        monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 250)
+        sampled_scattering_sums(100, "box", 1.0, stream_keys(6, 300),
+                                [1.0, 0.0, 0.0])
+        assert 1 <= len(built) <= 3
+
+    def test_density_correlation_of_sampled_clouds(self):
+        keys = stream_keys(9, 40)
+        dk = [3.0, 0.0, 1.0]
+        for profile in pointgas.PROFILES:
+            assert density_correlation(SampledClouds(50, profile, 0.8, keys),
+                                       dk) \
+                == density_correlation(sample_clouds(50, profile, 0.8, keys),
+                                       dk)
+        with pytest.raises(TooFewBatches):
+            density_correlation(SampledClouds(50, "box", 1.0, keys[:15]), dk)
+
+    def test_arguments_checked(self):
+        keys = stream_keys(0, 16)
+        with pytest.raises(UnknownProfile):
+            sampled_scattering_sums(10, "ring", 1.0, keys, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="size"):
+            sampled_scattering_sums(10, "box", np.nan, keys, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="keys"):
+            sampled_scattering_sums(10, "box", 1.0, keys[:, :1],
+                                    [1.0, 0.0, 0.0])
+
+
 class TestStreamKeys:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("n", [1, 17, 5000])
@@ -188,6 +264,19 @@ class TestDensityCorrelation:
         clouds = [sample_cloud(10, "box", 1.0, r) for r in spawn_rngs(0, 8)]
         with pytest.raises(TooFewBatches):
             density_correlation(clouds, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n_clouds", [0, 1, 15])
+    def test_from_sums_too_few_batches(self, n_clouds):
+        with pytest.raises(TooFewBatches):
+            CorrelationEstimate.from_sums(np.full(n_clouds, 10.0), 10,
+                                          [1.0, 0.0, 0.0])
+
+    def test_from_sums_of_the_batch_sums(self):
+        clouds = sample_clouds(10, "gaussian", 1.0, stream_keys(8, 16))
+        dk = [1.0, 2.0, 0.0]
+        assert CorrelationEstimate.from_sums(scattering_sums(clouds, dk),
+                                             10, dk) \
+            == density_correlation(clouds, dk)
 
     def test_self_term_dominates_at_large_dk(self):
         # Beyond the form-factor support the mean reduces to the
