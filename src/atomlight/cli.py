@@ -10,7 +10,7 @@ Config schema (JSON; unknown keys anywhere are errors):
         "kappa": 1.0, "n_photons": 1e8, "n_atoms": 1e6,
         "optical_depth": 30, "wavelength": 852e-9, "length": 0.03,
         "transverse_size": 1e-3, "detuning": 1e9, "linewidth": 3e7,
-        "density": null                  // optional; enables OD cross-check
+        "density": null                  // optional, finite > 0; OD check
       },
       "modes": {"max_order": 2,          // int >= 0
                 "k": 7.4e6},             // finite, > 0
@@ -32,7 +32,9 @@ a header block carrying the config hash, the seed, and the versions of
 this package and its numeric dependencies.  A sweep's hash covers the
 base config, the swept parameter and the value list.  Every sweep point
 passes the same value checks as a loaded config before any point runs;
-an integral value such as 3.0 may set an integer field.
+an integral value such as 3.0 may set an integer field.  A sweep
+re-evaluates an analysis only when a config value that analysis reads
+changes.
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ import argparse
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import pickle
 import sys
 from pathlib import Path
 
@@ -240,6 +244,36 @@ def _pick(row: dict, *keys) -> dict:
     return {k: row[k] for k in keys}
 
 
+def _reads(*paths):
+    """Declare the dotted config paths an analysis reads.
+
+    The analysis is called with a config holding only those paths, so
+    reading any other raises KeyError.  The runner returns the
+    analysis's last result in memo (one dict per run or sweep) while
+    the values it reads are unchanged.  Their pickle is the key: it
+    stores floats bit for bit, so it tells -0.0 from 0.0 and 1 from
+    1.0, and costs about a quarter of their repr.  Only the last result
+    is kept.
+    """
+    split = [path.rpartition(".")[::2] for path in paths]
+
+    def decorate(analysis):
+        @functools.wraps(analysis)
+        def runner(cfg: dict, memo: dict):
+            inputs = {}
+            for section, field in split:
+                node = inputs.setdefault(section, {}) if section else inputs
+                node[field] = (cfg[section] if section else cfg)[field]
+            key = pickle.dumps(inputs)
+            last = memo.get(analysis.__name__)
+            if last is None or last[0] != key:
+                last = memo[analysis.__name__] = key, analysis(inputs)
+            return last[1]
+        return runner
+    return decorate
+
+
+@_reads("physics.a0", "physics.a1")
 def _analysis_rho(cfg: dict):
     ph = cfg["physics"]
     a0, a1 = float(ph["a0"]), float(ph["a1"])
@@ -256,6 +290,8 @@ def _analysis_rho(cfg: dict):
     return _pick(row, "max_rel_dev", "rho_gamma_closed"), [row], list(row)
 
 
+@_reads("physics.c1", "physics.beta", "physics.column_rho_jz",
+        "physics.stokes_in", "modes.k")
 def _analysis_stokes(cfg: dict):
     ph = cfg["physics"]
     phi = float(ph["c1"]) * float(ph["beta"]) * float(ph["column_rho_jz"]) \
@@ -268,9 +304,10 @@ def _analysis_stokes(cfg: dict):
             list(row))
 
 
+@_reads("scenario", "physics.gain")
 def _analysis_memory(cfg: dict):
     kappa = float(Scenario(**cfg["scenario"]).kappa)
-    gain = cfg["physics"].get("gain")
+    gain = cfg["physics"]["gain"]
     ordering = QuadratureOrdering(n_light=1, n_atom=1)
     vac = GaussianState.vacuum(ordering)
     S = collective_map_matrix(ordering, kappa)
@@ -289,6 +326,7 @@ def _analysis_memory(cfg: dict):
                   "symplectic_residual"), [row], list(row))
 
 
+@_reads("seed", "pointgas")
 def _analysis_pointgas(cfg: dict):
     pg = cfg["pointgas"]
     clouds = SampledClouds(pg["n_atoms"], pg["profile"], float(pg["size"]),
@@ -303,6 +341,7 @@ def _analysis_pointgas(cfg: dict):
             list(row))
 
 
+@_reads("scenario", "modes.max_order")
 def _analysis_regime(cfg: dict):
     sc = Scenario(**cfg["scenario"])
     light = check_light_series(sc)
@@ -331,10 +370,13 @@ _RUNNERS = {
 }
 
 
-def _analyse(name: str, cfg: dict):
-    """Run one analysis; errors not raised by atomlight become AnalysisFailed."""
+def _analyse(name: str, cfg: dict, memo: dict):
+    """Run one analysis; errors not raised by atomlight become AnalysisFailed.
+
+    Through memo the analysis reuses its last result (see _reads).
+    """
     try:
-        return _RUNNERS[name](cfg)
+        return _RUNNERS[name](cfg, memo)
     except AtomLightError:
         raise
     except Exception as exc:
@@ -346,9 +388,9 @@ def run(cfg: dict, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(cfg, cfg["seed"])
-    summary = {"analyses": {}}
+    summary, memo = {"analyses": {}}, {}
     for name in cfg["analyses"]:
-        metrics, rows, fieldnames = _analyse(name, cfg)
+        metrics, rows, fieldnames = _analyse(name, cfg, memo)
         _write_csv(out / f"{name}.csv", provenance, fieldnames, rows)
         summary["analyses"][name] = metrics
     _write_json(out / "summary.json", provenance, summary)
@@ -375,7 +417,8 @@ def sweep(cfg: dict, param: str, values, out_dir) -> list:
     """Run the analyses once per value, on a copy of cfg; one CSV row each.
 
     Every point is checked before the first one runs, so a bad value
-    raises ConfigInvalid and writes nothing.
+    raises ConfigInvalid and writes nothing.  An analysis recomputes
+    only when a value it reads differs from the previous point's.
     """
     values = list(values)
     point = copy.deepcopy(cfg)
@@ -389,12 +432,12 @@ def sweep(cfg: dict, param: str, values, out_dir) -> list:
         {"config": cfg, "param": param, "values": values}, cfg["seed"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows, memo = [], {}
     for value, setting in zip(values, settings):
         node[key] = setting
         row = {param: value}
         for name in point["analyses"]:
-            metrics, _, _ = _analyse(name, point)
+            metrics, _, _ = _analyse(name, point, memo)
             row.update((f"{name}.{mk}", mv) for mk, mv in metrics.items())
         rows.append(row)
     fieldnames = list(dict.fromkeys([param, *(k for r in rows for k in r)]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 THRESHOLD = 0.1
@@ -54,8 +55,22 @@ class Scenario:
         if self.detuning == 0:
             raise ValueError("detuning must be nonzero")
         for name in ("kappa", "detuning"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        d = self.density
+        if d is not None and (isinstance(d, bool)
+                              or not isinstance(d, numbers.Real)
+                              or not _is_finite(d) or not d > 0):
+            raise ValueError(
+                f"density must be None or a finite number > 0: {d!r}")
+
+
+def _is_finite(x) -> bool:
+    """math.isfinite, False for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,23 @@
 
 import copy
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import atomlight
-from atomlight import pointgas, propagator
+from atomlight import cli, pointgas, propagator
 from atomlight.cli import ANALYSES, load_config, main
-from atomlight.errors import BadParameterPath, ConfigInvalid
-from atomlight.cli import _fmt, _resolve_path, sweep
+from atomlight.errors import AnalysisFailed, BadParameterPath, ConfigInvalid
+from atomlight.cli import _analyse, _fmt, _resolve_path, sweep
 from atomlight.pointgas import density_correlation, sample_clouds, stream_keys
 
 
@@ -126,6 +128,18 @@ class TestConfigValidation:
         path = write_config(tmp_path, analyses=["memory-protocol"],
                             scenario={**BASE_CONFIG["scenario"],
                                       "kappa": kappa})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("density", [float("nan"), float("inf"), -1.0,
+                                         0, True, "x", 10**400])
+    def test_density_outside_domain_rejected(self, tmp_path, density):
+        path = write_config(tmp_path, analyses=["regime"],
+                            scenario={**BASE_CONFIG["scenario"],
+                                      "density": density})
+        with pytest.raises(ConfigInvalid, match="density"):
+            load_config(path)
         out = tmp_path / "out"
         assert main(["--out", str(out), "run", str(path)]) == 2
         assert not out.exists()
@@ -409,6 +423,17 @@ class TestSweep:
                      "--values", values]) == 2
         assert not out.exists()
 
+    def test_bad_density_point_writes_nothing(self, tmp_path, capsys):
+        # BASE_CONFIG has no density, and a sweep only sets existing keys.
+        path = write_config(tmp_path, analyses=["regime"],
+                            scenario={**BASE_CONFIG["scenario"],
+                                      "density": 1e17})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep", str(path), "--param",
+                     "scenario.density", "--values", "1e17,nan"]) == 2
+        assert "density must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_values_set_integer_fields(self, tmp_path):
         path = write_config(tmp_path, analyses=["pointgas"],
                             pointgas={"n_atoms": 20, "n_clouds": 16})
@@ -461,6 +486,88 @@ class TestSweep:
         diffs = np.diff(gammas)
         assert np.all(diffs < 0.0) or np.all(diffs > 0.0)
         assert max(devs) < 1e-10
+
+
+def full_config(tmp_path):
+    """Every analysis, a small point gas and every scenario field set."""
+    return load_config(write_config(
+        tmp_path, analyses=list(ANALYSES),
+        scenario={**BASE_CONFIG["scenario"], "density": 1.3e15},
+        physics={"column_rho_jz": 1e-4, "stokes_in": [0.3, -0.2, 0.9]},
+        pointgas={"n_atoms": 50, "n_clouds": 16}))
+
+
+class TestSweepReuse:
+    """A sweep reuses an analysis result only while its inputs are unchanged."""
+
+    @pytest.mark.parametrize("param, values", [
+        ("physics.a1", [0.3, 0.3, 0.1, -0.0, 0.0, 0.3]),
+        ("physics.a0", [1.0, 2.0, 2.0, 1.5, 1.0]),
+        ("scenario.kappa", [0.0, -0.0, 0.5, 0.5, 1.0, 0.5]),
+        ("modes.max_order", [0, 2, 2, 5, 2]),
+        ("modes.k", [1e6, 7.4e6, 7.4e6, 1e6]),
+        ("physics.gain", [0.5, -1.0, -1.0, 2.0, 0.5]),
+        ("seed", [3, 3, 4, 3]),
+    ])
+    def test_rows_equal_analyses_without_reuse(self, tmp_path, param, values):
+        cfg = full_config(tmp_path)
+        out = tmp_path / "out"
+        sweep(cfg, param, values, out)
+        point = copy.deepcopy(cfg)
+        node, key = _resolve_path(point, param)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        for value in values:
+            node[key] = value
+            row = {param: value}
+            for name in ANALYSES:
+                metrics, _, _ = _analyse(name, point, {})
+                row.update((f"{name}.{k}", v) for k, v in metrics.items())
+            if not expected.tell():
+                writer.writerow(list(row))
+            writer.writerow([_fmt(v) for v in row.values()])
+        text = (out / f"sweep_{param.replace('.', '_')}.csv").read_bytes()
+        body = "".join(line for line in text.decode().splitlines(True)
+                       if not line.startswith("#"))
+        assert body == expected.getvalue()
+
+    @pytest.mark.parametrize("name", ANALYSES)
+    def test_declared_reads_suffice(self, tmp_path, name):
+        cfg = full_config(tmp_path)
+        runner = cli._RUNNERS[name]
+        assert runner(cfg, {}) == runner.__wrapped__(cfg)
+
+    def test_undeclared_read_fails(self, tmp_path, monkeypatch):
+        @cli._reads("physics.a0")
+        def _analysis_rho(cfg):
+            return cfg["physics"]["a1"]
+
+        monkeypatch.setitem(cli._RUNNERS, "rho-coefficients", _analysis_rho)
+        with pytest.raises(AnalysisFailed, match="a1"):
+            _analyse("rho-coefficients", full_config(tmp_path), {})
+
+    def test_work_reused_within_one_sweep_only(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("memory_protocol", "check_light_series",
+                     "short_propagator_quadrature"):
+            def counting(*args, _fn=getattr(cli, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(cli, name, counting)
+        path = write_config(tmp_path, analyses=[
+            "rho-coefficients", "stokes-map", "memory-protocol", "regime"])
+        values = ",".join(str(v) for v in np.linspace(0.0, 0.9, 50).tolist())
+        a1_sweep = ["--out", str(tmp_path / "a1"), "sweep", str(path),
+                    "--param", "physics.a1", "--values", values]
+        assert main(a1_sweep) == 0
+        assert calls == {"memory_protocol": 1, "check_light_series": 1,
+                         "short_propagator_quadrature": 50}
+        assert main(a1_sweep) == 0
+        assert calls["memory_protocol"] == 2
+        calls.clear()
+        assert main(["--out", str(tmp_path / "kappa"), "sweep", str(path),
+                     "--param", "scenario.kappa", "--values", "0.5,1,0.5"]) == 0
+        assert calls["memory_protocol"] == 3
 
 
 class TestModuleEntryPoint:

@@ -62,6 +62,17 @@ class TestODConsistency:
         report = check_light_series(sc)
         assert not report.passed
 
+    @pytest.mark.parametrize("density", [float("nan"), float("inf"), -1.0,
+                                         0, 0.0, True, "x", [1e17],
+                                         10**400])
+    def test_density_outside_domain_rejected(self, density):
+        with pytest.raises(ValueError, match="density"):
+            anchor_scenario(density=density)
+
+    @pytest.mark.parametrize("density", [None, 1e17, 5, 1e-300])
+    def test_density_in_domain_accepted(self, density):
+        assert anchor_scenario(density=density).density == density
+
 
 class TestFresnel:
     def test_anchor_value(self):
@@ -109,7 +120,8 @@ class TestScenarioValidation:
             "n_photons", "n_atoms", "optical_depth", "wavelength", "length",
             "transverse_size", "linewidth", "kappa", "detuning")),
         ("kappa", float("inf")), ("kappa", float("-inf")),
-        ("detuning", float("inf")), ("detuning", float("-inf"))])
+        ("detuning", float("inf")), ("detuning", float("-inf")),
+        ("kappa", 10**400), ("detuning", -10**400)])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             anchor_scenario(**{name: value})
