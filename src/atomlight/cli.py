@@ -31,10 +31,12 @@ bit-identical for identical config and seed; every artifact starts with
 a header block carrying the config hash, the seed, and the versions of
 this package and its numeric dependencies.  A sweep's hash covers the
 base config, the swept parameter and the value list.  Every sweep point
-passes the same value checks as a loaded config before any point runs;
-an integral value such as 3.0 may set an integer field.  A sweep
-re-evaluates an analysis only when a config value that analysis reads
-changes.
+is checked before any point runs: the first with all the checks of a
+loaded config, each later one with the checks of the swept path's
+section alone (seed, modes, physics, pointgas or scenario), since no
+other value changed.  An integral value such as 3.0 may set an integer
+field.  A sweep re-evaluates an analysis only when a config value that
+analysis reads changes.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInva
 from .pointgas import (MIN_BATCHES, PROFILES, SampledClouds,
                        density_correlation, stream_keys)
 from .propagator import short_propagator_closed, short_propagator_quadrature
-from .regime import (Scenario, check_fresnel_basis, check_light_series,
-                     check_spin_series, fresnel_number)
+from .regime import (Scenario, _is_finite, check_fresnel_basis,
+                     check_light_series, check_spin_series, fresnel_number)
 
 ANALYSES = ("rho-coefficients", "stokes-map", "memory-protocol",
             "pointgas", "regime")
@@ -107,8 +109,11 @@ def _check_integer(path: str, value) -> int:
 
 
 def _is_finite_number(value) -> bool:
+    """A float or an int that is finite as a float; bools are not numbers."""
+    if isinstance(value, float):
+        return math.isfinite(value)
     return isinstance(value, int) and not isinstance(value, bool) \
-        or isinstance(value, float) and math.isfinite(value)
+        and _is_finite(value)
 
 
 def _is_finite_triple(value) -> bool:
@@ -116,13 +121,27 @@ def _is_finite_triple(value) -> bool:
         and all(map(_is_finite_number, value))
 
 
-def _check_physics(ph: dict) -> None:
+def _check_positive(path: str, value) -> None:
+    if not (_is_finite_number(value) and value > 0):
+        raise ConfigInvalid(f"{path} must be a finite number > 0: {value!r}")
+
+
+def _check_seed(cfg: dict) -> None:
+    _check_integer("seed", cfg["seed"])
+
+
+def _check_modes(cfg: dict) -> None:
+    _check_integer("modes.max_order", cfg["modes"]["max_order"])
+    _check_positive("modes.k", cfg["modes"]["k"])
+
+
+def _check_physics(cfg: dict) -> None:
     """Physics values are finite numbers, gain may be null.
 
     A NaN a0 or a1 passes: the propagator rejects it with OutsideDomain
     (exit 3), as it rejects any pair outside 0 <= a1 < a0.
     """
-    for key, value in ph.items():
+    for key, value in cfg["physics"].items():
         if key == "stokes_in":
             ok, want = _is_finite_triple(value), "three finite numbers"
         elif key == "gain":
@@ -138,12 +157,10 @@ def _check_physics(ph: dict) -> None:
             raise ConfigInvalid(f"physics.{key} must be {want}: {value!r}")
 
 
-def _check_positive(path: str, value) -> None:
-    if not (_is_finite_number(value) and value > 0):
-        raise ConfigInvalid(f"{path} must be a finite number > 0: {value!r}")
-
-
-def _check_pointgas(pg: dict) -> None:
+def _check_pointgas(cfg: dict) -> None:
+    pg = cfg["pointgas"]
+    _check_integer("pointgas.n_atoms", pg["n_atoms"])
+    _check_integer("pointgas.n_clouds", pg["n_clouds"])
     _check_positive("pointgas.size", pg["size"])
     if pg["profile"] not in PROFILES:
         raise ConfigInvalid(
@@ -154,19 +171,7 @@ def _check_pointgas(pg: dict) -> None:
             f"pointgas.delta_k must be three finite numbers: {dk!r}")
 
 
-def _check_values(cfg: dict) -> None:
-    """Value checks on a merged config, shared by load_config and sweep."""
-    for path in _INTEGER_FIELDS:
-        section, _, key = path.rpartition(".")
-        _check_integer(path, (cfg[section] if section else cfg)[key])
-    _check_positive("modes.k", cfg["modes"]["k"])
-    _check_physics(cfg["physics"])
-    _check_pointgas(cfg["pointgas"])
-    if not isinstance(cfg["analyses"], list):
-        raise ConfigInvalid("analyses must be a list")
-    for name in cfg["analyses"]:
-        if name not in ANALYSES:
-            raise ConfigInvalid(f"unknown analysis: analyses.{name}")
+def _check_scenario(cfg: dict) -> None:
     if cfg["scenario"] is None:
         if any(a in cfg["analyses"] for a in ("regime", "memory-protocol")):
             raise ConfigInvalid(
@@ -176,6 +181,24 @@ def _check_values(cfg: dict) -> None:
         Scenario(**cfg["scenario"])
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"invalid scenario: {exc}") from exc
+
+
+# The value checks of each config section.  Whether a section passes
+# depends on no other section, only on the analyses list.
+_SECTION_CHECKS = {"seed": _check_seed, "modes": _check_modes,
+                   "physics": _check_physics, "pointgas": _check_pointgas,
+                   "scenario": _check_scenario}
+
+
+def _check_values(cfg: dict) -> None:
+    """Value checks on a merged config, shared by load_config and sweep."""
+    if not isinstance(cfg["analyses"], list):
+        raise ConfigInvalid("analyses must be a list")
+    for name in cfg["analyses"]:
+        if name not in ANALYSES:
+            raise ConfigInvalid(f"unknown analysis: analyses.{name}")
+    for check in _SECTION_CHECKS.values():
+        check(cfg)
 
 
 def load_config(path) -> dict:
@@ -219,7 +242,8 @@ def _fmt(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-def _write_csv(path: Path, provenance: dict, fieldnames, rows) -> None:
+def _write_csv(path: Path, provenance: dict, header, lines) -> None:
+    """Write the provenance block, the header and rows of formatted cells."""
     versions = "; ".join(f"{k} {v}"
                          for k, v in provenance["versions"].items())
     with open(path, "w", newline="") as fh:
@@ -227,8 +251,8 @@ def _write_csv(path: Path, provenance: dict, fieldnames, rows) -> None:
                  f"# seed={provenance['seed']}\n"
                  f"# versions={versions}\n")
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        writer.writerows([_fmt(row[k]) for k in fieldnames] for row in rows)
+        writer.writerow(header)
+        writer.writerows(lines)
 
 
 def _write_json(path: Path, provenance: dict, payload: dict) -> None:
@@ -391,7 +415,8 @@ def run(cfg: dict, out_dir) -> dict:
     summary, memo = {"analyses": {}}, {}
     for name in cfg["analyses"]:
         metrics, rows, fieldnames = _analyse(name, cfg, memo)
-        _write_csv(out / f"{name}.csv", provenance, fieldnames, rows)
+        _write_csv(out / f"{name}.csv", provenance, fieldnames,
+                   ([_fmt(row[k]) for k in fieldnames] for row in rows))
         summary["analyses"][name] = metrics
     _write_json(out / "summary.json", provenance, summary)
     return summary
@@ -417,33 +442,48 @@ def sweep(cfg: dict, param: str, values, out_dir) -> list:
     """Run the analyses once per value, on a copy of cfg; one CSV row each.
 
     Every point is checked before the first one runs, so a bad value
-    raises ConfigInvalid and writes nothing.  An analysis recomputes
-    only when a value it reads differs from the previous point's.
+    raises ConfigInvalid and writes nothing.  The first point passes all
+    of _check_values; a later point differs from it only at param, so it
+    passes the checks of param's section alone.  An analysis recomputes
+    only when a value it reads differs from the previous point's, and a
+    reused result reuses its formatted CSV cells.
     """
     values = list(values)
     point = copy.deepcopy(cfg)
     node, key = _resolve_path(point, param)
     settings = [int(v) if param in _INTEGER_FIELDS and isinstance(v, float)
                 and v.is_integer() else v for v in values]
-    for setting in settings:
+    check_section = _SECTION_CHECKS.get(param.partition(".")[0])
+    for i, setting in enumerate(settings):
         node[key] = setting
-        _check_values(point)
+        if not i:
+            _check_values(point)
+        elif check_section is not None:
+            check_section(point)
     provenance = _provenance(
         {"config": cfg, "param": param, "values": values}, cfg["seed"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows, memo = [], {}
+    rows, lines, memo, last = [], [], {}, {}
     for value, setting in zip(values, settings):
         node[key] = setting
-        row = {param: value}
-        for name in point["analyses"]:
-            metrics, _, _ = _analyse(name, point, memo)
-            row.update((f"{name}.{mk}", mv) for mk, mv in metrics.items())
+        row, cells = {param: value}, [_fmt(value)]
+        # An analysis listed twice gives its columns once.
+        for name in dict.fromkeys(point["analyses"]):
+            result = _analyse(name, point, memo)
+            if last.get(name, (None,))[0] is not result:
+                metrics = result[0]
+                last[name] = (
+                    result, {f"{name}.{k}": v for k, v in metrics.items()},
+                    [_fmt(v) for v in metrics.values()])
+            _, named, formatted = last[name]
+            row.update(named)
+            cells += formatted
         rows.append(row)
-    fieldnames = list(dict.fromkeys([param, *(k for r in rows for k in r)]))
+        lines.append(cells)
     safe = param.replace(".", "_")
-    _write_csv(out / f"sweep_{safe}.csv", provenance, fieldnames,
-               [{k: r.get(k, "") for k in fieldnames} for r in rows])
+    _write_csv(out / f"sweep_{safe}.csv", provenance,
+               list(rows[0]) if rows else [param], lines)
     return rows
 
 

@@ -234,8 +234,9 @@ def _block_summer(rows: int, n_atoms: int, dk: np.ndarray):
 
 
 def _intensities(amps: np.ndarray) -> np.ndarray:
-    # Scalar np.abs: the array loop rounds some amplitudes differently.
-    return np.array([np.abs(amp)**2 for amp in amps])
+    # Square each |amp| as a Python float, through libm pow as numpy's
+    # scalar **2 does: the array square rounds some values differently.
+    return np.array([v**2 for v in np.abs(amps).tolist()])
 
 
 def sample_clouds(n_atoms: int, profile: str, size: float,

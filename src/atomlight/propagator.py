@@ -16,6 +16,7 @@ part is kept.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ def _check_domain(a0: float, a1: float) -> bool:
         raise OutsideDomain(f"need a1 >= 0, got {a1}")
     if not (a0 - a1 > 0):
         raise OutsideDomain(f"need a0 - a1 > 0, got {a0 - a1}")
-    if not np.isfinite(a0):
+    if not math.isfinite(a0):
         raise OutsideDomain(f"need a finite a0, got {a0}")
     return a0 - a1 < NEAR_SINGULAR_FRACTION * a0
 
@@ -63,8 +64,8 @@ def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagator
     if a1 == 0.0:
         iso = k3 / (3.0 * np.pi) * a0**-2.5
         return ShortPropagatorCoeffs(iso, iso, 0.0, near)
-    sm = np.sqrt(a0 - a1)
-    sp = np.sqrt(a0 + a1)
+    sm = math.sqrt(a0 - a1)
+    sp = math.sqrt(a0 + a1)
     rho_par = (-k3 / (3.0 * np.pi * a1**3)) * (
         (-4.0 * a0 + 2.0 * a1) / sm + (4.0 * a0 + 2.0 * a1) / sp)
     rho_perp = (-k3 / (3.0 * np.pi * a1**3)) * (
@@ -77,35 +78,41 @@ def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagator
 
 @functools.cache
 def _gauss_legendre(n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights, built once per n_points."""
+    """Read-only Gauss-Legendre nodes x and moment table, once per n_points.
+
+    The (3, n_points) table holds the weights w times 2(1-x^2), 1+x^2
+    and x, the moment factors of the short-propagator triple.
+    """
     x, w = np.polynomial.legendre.leggauss(n_points)
+    moments = np.stack([w * 2.0 * (1.0 - x**2), w * (1.0 + x**2), w * x])
     x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    moments.flags.writeable = False
+    return x, moments
 
 
 def short_propagator_quadrature(a0: float, a1: float, k_L: float,
                                 n_points: int = 128) -> ShortPropagatorCoeffs:
     """Gauss-Legendre evaluation of the angular integral behind the triple.
 
-    The coefficients are moments of (a0 + a1 x)^(-5/2) over x in [-1,1]:
+    The coefficients are moments of f = (a0 + a1 x)^(-5/2) over x in [-1,1]:
         rho_par   = k^3/(8 pi) * int 2(1-x^2) f dx
         rho_perp  = k^3/(8 pi) * int (1+x^2)  f dx
         rho_gamma = k^3/(4 pi) * int x        f dx
     with the sign of rho_gamma fixed to agree with the closed forms.  The
-    rule is built once per n_points per process; n_points must be an
-    integer, so 128.0 raises TypeError.
+    rule and its (3, n_points) moment table, the weights times
+    2(1-x^2), 1+x^2 and x, are built once per n_points per process; a
+    call evaluates f at the nodes and sums the table times f row by
+    row.  n_points must be an integer, so 128.0 raises TypeError.
     """
     if n_points < 64:
         raise ValueError("n_points must be at least 64")
     near = _check_domain(a0, a1)
-    x, w = _gauss_legendre(operator.index(n_points))
+    x, moments = _gauss_legendre(operator.index(n_points))
     f = (a0 + a1 * x)**-2.5
+    par, perp, gamma = (moments * f).sum(axis=1).tolist()
     pref = k_L**3 / (8.0 * np.pi)
-    rho_par = pref * float(np.sum(w * 2.0 * (1.0 - x**2) * f))
-    rho_perp = pref * float(np.sum(w * (1.0 + x**2) * f))
-    rho_gamma = 2.0 * pref * float(np.sum(w * x * f))
-    return ShortPropagatorCoeffs(rho_par, rho_perp, rho_gamma, near)
+    return ShortPropagatorCoeffs(pref * par, pref * perp, 2.0 * pref * gamma,
+                                 near)
 
 
 def coordinate_free_short_propagator(coeffs: ShortPropagatorCoeffs,

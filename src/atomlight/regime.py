@@ -50,8 +50,9 @@ class Scenario:
     def __post_init__(self):
         for name in ("n_photons", "n_atoms", "optical_depth", "wavelength",
                      "length", "transverse_size", "linewidth"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (_is_finite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.detuning == 0:
             raise ValueError("detuning must be nonzero")
         for name in ("kappa", "detuning"):

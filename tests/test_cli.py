@@ -17,7 +17,8 @@ import pytest
 import atomlight
 from atomlight import cli, pointgas, propagator
 from atomlight.cli import ANALYSES, load_config, main
-from atomlight.errors import AnalysisFailed, BadParameterPath, ConfigInvalid
+from atomlight.errors import (AnalysisFailed, AtomLightError, BadParameterPath,
+                              ConfigInvalid)
 from atomlight.cli import _analyse, _fmt, _resolve_path, sweep
 from atomlight.pointgas import density_correlation, sample_clouds, stream_keys
 
@@ -161,7 +162,8 @@ class TestConfigValidation:
         ("profile", "ring"), ("profile", None),
         ("delta_k", [1.0, 0.0]), ("delta_k", [float("nan"), 0.0, 0.0]),
         ("delta_k", [float("inf"), 0.0, 0.0]), ("delta_k", ["1", 0.0, 0.0]),
-        ("delta_k", 1.0),
+        ("delta_k", 1.0), pytest.param("size", 10**400, id="size-10**400"),
+        pytest.param("delta_k", [10**400, 0.0, 0.0], id="delta_k-10**400"),
     ])
     def test_pointgas_value_outside_domain_rejected(self, tmp_path, key,
                                                     value):
@@ -175,11 +177,27 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("k", [float("inf"), float("nan"), "x", -1.0, 0,
-                                   True])
+                                   True, pytest.param(10**400, id="10**400")])
     def test_modes_k_outside_domain_rejected(self, tmp_path, k):
         path = write_config(tmp_path, analyses=["stokes-map"],
                             modes={"k": k})
         with pytest.raises(ConfigInvalid, match="modes.k"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, value", [
+        pytest.param("n_photons", 10**400, id="n_photons-10**400"),
+        pytest.param("length", 10**400, id="length-10**400"),
+        pytest.param("kappa", 10**400, id="kappa-10**400"),
+        ("n_atoms", float("inf"))])
+    def test_scenario_value_outside_domain_rejected(self, tmp_path, name,
+                                                    value):
+        path = write_config(tmp_path, analyses=["regime"],
+                            scenario={**BASE_CONFIG["scenario"],
+                                      name: value})
+        with pytest.raises(ConfigInvalid, match=name):
             load_config(path)
         out = tmp_path / "out"
         assert main(["--out", str(out), "run", str(path)]) == 2
@@ -200,6 +218,11 @@ class TestConfigValidation:
         ("c1", float("inf")), ("column_rho_jz", None), ("c0", "x"),
         ("stokes_in", [1.0, 0.0]), ("stokes_in", [float("nan"), 0.0, 0.0]),
         ("stokes_in", 1.0), ("gain", float("inf")), ("gain", "x"),
+        pytest.param("c1", 10**400, id="c1-10**400"),
+        pytest.param("a0", 10**400, id="a0-10**400"),
+        pytest.param("gain", -10**400, id="gain--10**400"),
+        pytest.param("stokes_in", [1.0, 10**400, 0.0],
+                     id="stokes_in-10**400"),
     ])
     def test_physics_value_outside_domain_rejected(self, tmp_path, key,
                                                    value):
@@ -568,6 +591,46 @@ class TestSweepReuse:
         assert main(["--out", str(tmp_path / "kappa"), "sweep", str(path),
                      "--param", "scenario.kappa", "--values", "0.5,1,0.5"]) == 0
         assert calls["memory_protocol"] == 3
+
+
+def scalar_paths(cfg):
+    """Every dotted path of cfg that names a scalar field."""
+    for name, value in cfg.items():
+        if isinstance(value, dict):
+            yield from (f"{name}.{key}" for key, v in value.items()
+                        if not isinstance(v, (dict, list)))
+        elif not isinstance(value, list):
+            yield name
+
+
+class TestSweepPointChecks:
+    """Points after the first pass only their swept section's checks."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1, 0, 1.5,
+                                     "x"])
+    def test_section_checks_agree_with_whole_check(self, tmp_path, bad):
+        cfg = full_config(tmp_path)
+        paths = list(scalar_paths(cfg))
+        assert len(paths) == 25
+        for i, param in enumerate(paths):
+            point = copy.deepcopy(cfg)
+            node, key = _resolve_path(point, param)
+            first, node[key] = node[key], bad
+            try:
+                cli._check_values(point)
+                expected = None
+            except ConfigInvalid as exc:
+                expected = str(exc)
+            out = tmp_path / f"out{i}"
+            try:
+                sweep(cfg, param, [first, bad], out)
+                got = None
+            except ConfigInvalid as exc:
+                got = str(exc)
+            except AtomLightError:
+                got = None  # a value that passes the checks may fail later
+            assert got == expected, param
+            assert expected is None or not out.exists(), param
 
 
 class TestModuleEntryPoint:

@@ -201,6 +201,40 @@ class TestSampledScatteringSums:
                                     [1.0, 0.0, 0.0])
 
 
+class TestIntensities:
+    """|amp|**2 equals one scalar np.abs(amp)**2 per amplitude, bit for bit."""
+
+    @staticmethod
+    def reference(amps):
+        return np.array([np.abs(amp)**2 for amp in amps])
+
+    def test_real_zero_tiny_and_huge_amplitudes(self):
+        amps = np.array([0.0, -0.0, 3.0, -2.5, 1j, np.pi + np.e * 1j,
+                         1e-160j, 1e-170 + 1e-170j, 5e-324, -1e-300,
+                         2.0**40 - 3.0j, 1e150 + 1e150j, -1e152],
+                        dtype=complex)
+        assert pointgas._intensities(amps).tobytes() \
+            == self.reference(amps).tobytes()
+        assert pointgas._intensities(amps[:0]).shape == (0,)
+
+    # The three shapes of the pointgas-run benchmark workload.
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("n_atoms, n_clouds, profile, delta_k", [
+        (100, 16384, "box", (60.0, 0.0, 0.0)),
+        (1000, 4096, "gaussian", (0.0, 0.0, 3.0)),
+        (20000, 256, "box", (6.0, 0.0, 0.0))])
+    def test_scattering_amplitudes(self, monkeypatch, seed, n_atoms,
+                                   n_clouds, profile, delta_k):
+        seen = []
+        intensities = pointgas._intensities
+        monkeypatch.setattr(pointgas, "_intensities",
+                            lambda amps: seen.append(amps) or
+                            intensities(amps))
+        sums = sampled_scattering_sums(n_atoms, profile, 1.0,
+                                       stream_keys(seed, n_clouds), delta_k)
+        assert sums.tobytes() == self.reference(seen[0]).tobytes()
+
+
 class TestStreamKeys:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("n", [1, 17, 5000])

@@ -126,6 +126,68 @@ class TestGaussLegendreCache:
             short_propagator_quadrature(1.0, 0.3, 1.0, n_points=32)
 
 
+def closed_reference(a0, a1, k_L):
+    """The closed forms evaluated through numpy-scalar square roots."""
+    k3 = k_L**3
+    if a1 == 0.0:
+        iso = k3 / (3.0 * np.pi) * a0**-2.5
+        return iso, iso, 0.0
+    sm = np.sqrt(a0 - a1)
+    sp = np.sqrt(a0 + a1)
+    rho_par = (-k3 / (3.0 * np.pi * a1**3)) * (
+        (-4.0 * a0 + 2.0 * a1) / sm + (4.0 * a0 + 2.0 * a1) / sp)
+    rho_perp = (-k3 / (3.0 * np.pi * a1**3)) * (
+        (2.0 * a0**2 - 3.0 * a0 * a1 + 0.5 * a1**2) / sm**3
+        - (2.0 * a0**2 + 3.0 * a0 * a1 + 0.5 * a1**2) / sp**3)
+    rho_gamma = (k3 / (6.0 * np.pi * a1**2)) * (
+        (2.0 * a0 - 3.0 * a1) / sm**3 - (2.0 * a0 + 3.0 * a1) / sp**3)
+    return rho_par, rho_perp, rho_gamma
+
+
+def quadrature_reference(a0, a1, k_L, rule):
+    """The quadrature as three separate np.sum reductions."""
+    x, w = rule
+    f = (a0 + a1 * x)**-2.5
+    pref = k_L**3 / (8.0 * np.pi)
+    return (pref * float(np.sum(w * 2.0 * (1.0 - x**2) * f)),
+            pref * float(np.sum(w * (1.0 + x**2) * f)),
+            2.0 * pref * float(np.sum(w * x * f)))
+
+
+def bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def edge_grid():
+    """(a0, a1) over 0 <= a1 < a0, dense toward both edges."""
+    fractions = np.concatenate([
+        [0.0, 1e-7, 0.5, 1.0 - 1e-6], np.linspace(0.01, 0.99, 25),
+        np.logspace(-7.0, -1.0, 25), 1.0 - np.logspace(-6.0, -1.0, 25)])
+    return [(a0, a0 * e) for a0 in (1.0, 2.5, 1e-3, 7e4)
+            for e in fractions.tolist()]
+
+
+class TestAgainstNumpyScalarForms:
+    """The Python-float closed forms and the moment-table quadrature give
+    the same bits as the numpy-scalar and three-np.sum forms."""
+
+    @pytest.mark.parametrize("k_L", [1.0, 1.7])
+    def test_closed_bit_identical(self, k_L):
+        for a0, a1 in edge_grid():
+            c = short_propagator_closed(a0, a1, k_L)
+            assert bits(c.rho_par, c.rho_perp, c.rho_gamma) \
+                == bits(*closed_reference(a0, a1, k_L)), (a0, a1)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 257])
+    @pytest.mark.parametrize("k_L", [1.0, 1.7])
+    def test_quadrature_bit_identical(self, k_L, n_points):
+        rule = np.polynomial.legendre.leggauss(n_points)
+        for a0, a1 in edge_grid():
+            q = short_propagator_quadrature(a0, a1, k_L, n_points)
+            assert bits(q.rho_par, q.rho_perp, q.rho_gamma) \
+                == bits(*quadrature_reference(a0, a1, k_L, rule)), (a0, a1)
+
+
 class TestDipolePropagator:
     def test_zero_separation(self):
         with pytest.raises(ZeroSeparation):

@@ -121,7 +121,9 @@ class TestScenarioValidation:
             "transverse_size", "linewidth", "kappa", "detuning")),
         ("kappa", float("inf")), ("kappa", float("-inf")),
         ("detuning", float("inf")), ("detuning", float("-inf")),
-        ("kappa", 10**400), ("detuning", -10**400)])
+        ("kappa", 10**400), ("detuning", -10**400),
+        pytest.param("n_photons", 10**400, id="n_photons-10**400"),
+        ("linewidth", float("inf"))])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             anchor_scenario(**{name: value})
