@@ -19,8 +19,8 @@ Config schema (JSON; unknown keys anywhere are errors):
                   "column_rho_jz": 0.0,
                   "stokes_in": [1.0, 0.0, 0.0],         // three finite numbers
                   "gain": null},                        // null or finite
-      "pointgas": {"n_atoms": 100,       // int >= 2 (pairs)
-                   "n_clouds": 256,      // int >= 16
+      "pointgas": {"n_atoms": 100,       // int, 2 <= n < 2**63 (pairs)
+                   "n_clouds": 256,      // int, 16 <= n <= 2**32
                    "profile": "box",     // "box" or "gaussian"
                    "size": 1.0,          // finite, > 0
                    "delta_k": [60.0, 0.0, 0.0]}   // three finite numbers
@@ -61,7 +61,7 @@ from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
                        collective_map_matrix, memory_protocol,
                        paraxial_stokes_map, symplectic_form)
 from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
-from .pointgas import (MIN_BATCHES, PROFILES, SampledClouds,
+from .pointgas import (MAX_STREAMS, MIN_BATCHES, PROFILES, SampledClouds,
                        density_correlation, stream_keys)
 from .propagator import short_propagator_closed, short_propagator_quadrature
 from .regime import (Scenario, _is_finite, check_fresnel_basis,
@@ -93,10 +93,12 @@ def _check_keys(section: str, data, allowed) -> None:
 
 
 # Integer fields by dotted path, with the half-open range of valid values.
+# n_atoms sizes a numpy axis (at most 2**63 - 1); n_clouds is a number of
+# stream_keys streams.
 _INTEGER_FIELDS = {"seed": (0, 2**64),
                    "modes.max_order": (0, math.inf),
-                   "pointgas.n_atoms": (2, math.inf),
-                   "pointgas.n_clouds": (MIN_BATCHES, math.inf)}
+                   "pointgas.n_atoms": (2, 2**63),
+                   "pointgas.n_clouds": (MIN_BATCHES, MAX_STREAMS + 1)}
 
 
 def _check_integer(path: str, value) -> int:

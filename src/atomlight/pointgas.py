@@ -36,10 +36,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import numpy.random  # loaded at import, not in the first call
 
 from .errors import TooFewBatches, UnknownProfile
 
 MIN_BATCHES = 16
+# stream_keys puts the spawn index in one 32-bit entropy word.
+MAX_STREAMS = 2**32
 
 PROFILES = ("box", "gaussian")
 
@@ -90,7 +93,7 @@ def stream_keys(seed: int, n: int) -> np.ndarray:
     children: the pool is mixed once and the spawn word over an array.
     """
     seed = operator.index(seed)
-    if seed < 0 or not 0 <= n <= 2**32:
+    if seed < 0 or not 0 <= n <= MAX_STREAMS:
         raise ValueError(
             f"need seed >= 0 and 0 <= n <= 2**32, got {seed}, {n}")
     words = [seed >> s & _MASK32

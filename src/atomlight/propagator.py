@@ -21,6 +21,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.legendre  # loaded at import, not in the first call
 
 from .errors import OutsideDomain, ZeroSeparation
 from .medium import cross_matrix

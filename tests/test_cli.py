@@ -164,6 +164,10 @@ class TestConfigValidation:
         ("delta_k", [float("inf"), 0.0, 0.0]), ("delta_k", ["1", 0.0, 0.0]),
         ("delta_k", 1.0), pytest.param("size", 10**400, id="size-10**400"),
         pytest.param("delta_k", [10**400, 0.0, 0.0], id="delta_k-10**400"),
+        pytest.param("n_clouds", 10**30, id="n_clouds-10**30"),
+        pytest.param("n_clouds", 2**32 + 1, id="n_clouds-2**32+1"),
+        pytest.param("n_atoms", 10**30, id="n_atoms-10**30"),
+        pytest.param("n_atoms", 2**63, id="n_atoms-2**63"),
     ])
     def test_pointgas_value_outside_domain_rejected(self, tmp_path, key,
                                                     value):
@@ -175,6 +179,14 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["--out", str(out), "run", str(path)]) == 2
         assert not out.exists()
+
+    def test_pointgas_counts_at_upper_bound_load(self, tmp_path):
+        # Loaded only: the largest counts are far too big to run.
+        cfg = load_config(write_config(
+            tmp_path, analyses=["pointgas"],
+            pointgas={"n_atoms": 2**63 - 1, "n_clouds": 2**32}))
+        assert cfg["pointgas"]["n_atoms"] == 2**63 - 1
+        assert cfg["pointgas"]["n_clouds"] == 2**32
 
     @pytest.mark.parametrize("k", [float("inf"), float("nan"), "x", -1.0, 0,
                                    True, pytest.param(10**400, id="10**400")])
@@ -438,6 +450,10 @@ class TestSweep:
         ("stokes-map", "physics.beta", "nan"),
         ("memory-protocol", "physics.gain", "0.5,inf"),
         ("stokes-map", "modes.k", "1.0,inf"),
+        ("pointgas", "pointgas.n_clouds", "16,4294967297"),
+        ("pointgas", "pointgas.n_clouds", "16,1e30"),
+        ("pointgas", "pointgas.n_atoms", "10,9223372036854775808"),
+        ("pointgas", "pointgas.n_atoms", "10,1e30"),
     ])
     def test_bad_point_writes_nothing(self, tmp_path, analysis, param, values):
         path = write_config(tmp_path, analyses=[analysis])
@@ -633,17 +649,30 @@ class TestSweepPointChecks:
             assert expected is None or not out.exists(), param
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this atomlight, run with args."""
+    src = str(Path(atomlight.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestModuleEntryPoint:
     def test_python_m_runs_without_runtime_warning(self):
         # runpy warns (RuntimeWarning) when the package imports atomlight.cli
         # before it is executed as __main__.
-        src = str(Path(atomlight.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m",
-             "atomlight.cli", "--help"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_python("-W", "error::RuntimeWarning", "-m", "atomlight.cli",
+                          "--help")
         assert proc.returncode == 0, proc.stderr
         assert "usage" in proc.stdout
+
+    @pytest.mark.parametrize("module", ["atomlight", "atomlight.cli"])
+    def test_import_leaves_scipy_special_unloaded(self, module):
+        # scipy.special costs more to import than the rest of atomlight.
+        proc = run_python("-c", f"import sys, {module}; "
+                          "print(sorted(m for m in sys.modules "
+                          "if m.startswith('scipy.special')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

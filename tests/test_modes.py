@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.special
 
+from atomlight import modes
 from atomlight.errors import DegenerateGeometry, MixedWavenumbers
-from atomlight.modes import (HermiteGaussMode, completeness_kernel,
-                             dressed_modes, expand_function,
-                             hermite_gauss_eval, make_grid, medium_inner,
-                             medium_matrix, overlap_field)
+from atomlight.modes import (HermiteGaussMode, _eval_hermite,
+                             completeness_kernel, dressed_modes,
+                             expand_function, hermite_gauss_eval, make_grid,
+                             medium_inner, medium_matrix, overlap_field)
 
 RNG = np.random.default_rng(7)
 
@@ -100,6 +102,85 @@ class TestHermiteGauss:
             for b in range(len(modes)):
                 ov = grid.integrate(np.conj(fields[a]) * fields[b])
                 assert abs(ov - (1.0 if a == b else 0.0)) < 1e-6
+
+
+def bits(a):
+    """The float64 bit patterns of a real or complex value or array."""
+    return np.ascontiguousarray(a, dtype=np.result_type(a, float)) \
+        .view(np.int64)
+
+
+class TestEvalHermite:
+    """_eval_hermite repeats scipy.special.eval_hermite bit for bit.
+
+    Pinned against the installed scipy, so a scipy that changes its
+    algorithm fails here rather than drifting unseen.
+    """
+
+    SCALES = (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 10.0, 100.0, 1e3)
+    SPECIAL = (0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1.7e308, -1e-300,
+               5e-324, -5e-324, np.nan, -np.nan)
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_array_bits_equal_scipy(self, n):
+        rng = np.random.default_rng(n)
+        x = np.concatenate([s * rng.normal(size=2000) for s in self.SCALES]
+                           + [self.SPECIAL])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _eval_hermite(n, x)
+            got_2d = _eval_hermite(n, x.reshape(-1, 2))
+        want = scipy.special.eval_hermite(n, x)
+        np.testing.assert_array_equal(bits(got), bits(want))
+        np.testing.assert_array_equal(bits(got_2d), bits(want).reshape(-1, 2))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 20, 40])
+    def test_scalar_bits_equal_scipy(self, n):
+        for x in self.SPECIAL + (0.3, -2.5, 1e-8, 40.0):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _eval_hermite(n, x)
+            want = scipy.special.eval_hermite(n, x)
+            assert type(got) is type(want)
+            assert bits(got) == bits(want), x
+
+    @pytest.mark.parametrize("z_in_z0", [0.0, 1.0])
+    def test_modes_equal_scipy_reference(self, monkeypatch, z_in_z0):
+        basis = [HermiteGaussMode(m, order - m, 30.0, 0.7)
+                 for order in range(7) for m in range(order + 1)]
+        z = z_in_z0 * basis[0].z0
+        grid = make_grid(basis[0].waist(z), extent_factor=5.0, n=48)
+        points = [(grid.X, grid.Y), (0.31, -0.2)]
+        got = [hermite_gauss_eval(mode, x, y, z)
+               for mode in basis for x, y in points]
+        monkeypatch.setattr(modes, "_eval_hermite",
+                            scipy.special.eval_hermite)
+        want = [hermite_gauss_eval(mode, x, y, z)
+                for mode in basis for x, y in points]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(bits(g), bits(w))
+
+
+class TestHermiteGaussModeChecks:
+    @pytest.mark.parametrize("m, n", [
+        (1.5, 0), (0, 2.0), (np.float64(1.0), 0), (True, 0), (0, False),
+        (-1, 0), (0, -2), ("1", 0), (None, 0)])
+    def test_bad_index_rejected(self, m, n):
+        with pytest.raises(ValueError, match="mode indices"):
+            HermiteGaussMode(m, n, 10.0, 1.0)
+
+    @pytest.mark.parametrize("k, w0", [
+        (np.nan, 1.0), (10.0, np.nan), (np.inf, 1.0), (10.0, np.inf),
+        (0.0, 1.0), (10.0, -1.0)])
+    def test_bad_scale_rejected(self, k, w0):
+        with pytest.raises(ValueError, match="w0 and k"):
+            HermiteGaussMode(1, 0, k, w0)
+
+    def test_numpy_integer_indices_accepted(self):
+        grid = make_grid(1.0, n=16)
+        mode = HermiteGaussMode(np.int64(2), np.uint8(1), 10.0, 1.0)
+        np.testing.assert_array_equal(
+            hermite_gauss_eval(mode, grid.X, grid.Y, 0.4),
+            hermite_gauss_eval(HermiteGaussMode(2, 1, 10.0, 1.0),
+                               grid.X, grid.Y, 0.4))
 
 
 class TestOverlapField:
