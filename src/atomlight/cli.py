@@ -12,10 +12,10 @@ Config schema (JSON; unknown keys anywhere are errors):
         "transverse_size": 1e-3, "detuning": 1e9, "linewidth": 3e7,
         "density": null                  // optional, finite > 0; OD check
       },
-      "modes": {"max_order": 2,          // int >= 0
+      "modes": {"max_order": 2,          // int, 0 <= n <= 149 (MAX_ORDER)
                 "k": 7.4e6},             // finite, > 0
-      "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0,   // finite numbers;
-                  "a0": 1.0, "a1": 0.3,                 // NaN: exit 3
+      "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0,   // finite numbers
+                  "a0": 1.0, "a1": 0.3,
                   "column_rho_jz": 0.0,
                   "stokes_in": [1.0, 0.0, 0.0],         // three finite numbers
                   "gain": null},                        // null or finite
@@ -32,11 +32,11 @@ a header block carrying the config hash, the seed, and the versions of
 this package and its numeric dependencies.  A sweep's hash covers the
 base config, the swept parameter and the value list.  Every sweep point
 is checked before any point runs: the first with all the checks of a
-loaded config, each later one with the checks of the swept path's
-section alone (seed, modes, physics, pointgas or scenario), since no
-other value changed.  An integral value such as 3.0 may set an integer
-field.  A sweep re-evaluates an analysis only when a config value that
-analysis reads changes.
+loaded config, each later one with the check of the swept field alone
+(the whole scenario check for a scenario field), since no other value
+changed.  An integral value such as 3.0 may set an integer field.  A
+sweep re-evaluates an analysis only when a config value that analysis
+reads changes.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
                        collective_map_matrix, memory_protocol,
                        paraxial_stokes_map, symplectic_form)
 from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
+from .modes import MAX_ORDER
 from .pointgas import (MAX_STREAMS, MIN_BATCHES, PROFILES, SampledClouds,
                        density_correlation, stream_keys)
 from .propagator import short_propagator_closed, short_propagator_quadrature
@@ -92,24 +93,6 @@ def _check_keys(section: str, data, allowed) -> None:
             raise ConfigInvalid(f"unknown config key: {where}")
 
 
-# Integer fields by dotted path, with the half-open range of valid values.
-# n_atoms sizes a numpy axis (at most 2**63 - 1); n_clouds is a number of
-# stream_keys streams.
-_INTEGER_FIELDS = {"seed": (0, 2**64),
-                   "modes.max_order": (0, math.inf),
-                   "pointgas.n_atoms": (2, 2**63),
-                   "pointgas.n_clouds": (MIN_BATCHES, MAX_STREAMS + 1)}
-
-
-def _check_integer(path: str, value) -> int:
-    low, high = _INTEGER_FIELDS[path]
-    if isinstance(value, bool) or not isinstance(value, int) \
-            or not low <= value < high:
-        raise ConfigInvalid(
-            f"{path} must be an integer in [{low}, {high}): {value!r}")
-    return value
-
-
 def _is_finite_number(value) -> bool:
     """A float or an int that is finite as a float; bools are not numbers."""
     if isinstance(value, float):
@@ -118,59 +101,52 @@ def _is_finite_number(value) -> bool:
         and _is_finite(value)
 
 
-def _is_finite_triple(value) -> bool:
-    return isinstance(value, list) and len(value) == 3 \
-        and all(map(_is_finite_number, value))
+def _integer(low: int, high: int):
+    """The row of an integer field, valid in [low, high)."""
+    return range(low, high), f"an integer in [{low}, {high})"
 
 
-def _check_positive(path: str, value) -> None:
-    if not (_is_finite_number(value) and value > 0):
-        raise ConfigInvalid(f"{path} must be a finite number > 0: {value!r}")
+_FINITE = _is_finite_number, "a finite number"
+_POSITIVE = (lambda v: _is_finite_number(v) and v > 0), "a finite number > 0"
+_TRIPLE = (lambda v: isinstance(v, list) and len(v) == 3
+           and all(map(_is_finite_number, v))), "three finite numbers"
+
+# What each config field accepts, by dotted path, in _DEFAULTS order: an
+# integer field's rule is its range of valid values, any other's a
+# predicate.  n_atoms sizes a numpy axis (at most 2**63 - 1), n_clouds is
+# a number of stream_keys streams, and max_order is the largest m + n of
+# a HermiteGaussMode.
+_FIELDS = {
+    "seed": _integer(0, 2**64),
+    "modes.max_order": _integer(0, MAX_ORDER + 1),
+    "modes.k": _POSITIVE,
+    "physics.beta": _FINITE, "physics.c0": _FINITE, "physics.c1": _FINITE,
+    "physics.a0": _FINITE, "physics.a1": _FINITE,
+    "physics.column_rho_jz": _FINITE,
+    "physics.stokes_in": _TRIPLE,
+    "physics.gain": ((lambda v: v is None or _is_finite_number(v)),
+                     "null or a finite number"),
+    "pointgas.n_atoms": _integer(2, 2**63),
+    "pointgas.n_clouds": _integer(MIN_BATCHES, MAX_STREAMS + 1),
+    "pointgas.profile": (lambda v: v in PROFILES, f"one of {PROFILES}"),
+    "pointgas.size": _POSITIVE,
+    "pointgas.delta_k": _TRIPLE,
+}
 
 
-def _check_seed(cfg: dict) -> None:
-    _check_integer("seed", cfg["seed"])
-
-
-def _check_modes(cfg: dict) -> None:
-    _check_integer("modes.max_order", cfg["modes"]["max_order"])
-    _check_positive("modes.k", cfg["modes"]["k"])
-
-
-def _check_physics(cfg: dict) -> None:
-    """Physics values are finite numbers, gain may be null.
-
-    A NaN a0 or a1 passes: the propagator rejects it with OutsideDomain
-    (exit 3), as it rejects any pair outside 0 <= a1 < a0.
-    """
-    for key, value in cfg["physics"].items():
-        if key == "stokes_in":
-            ok, want = _is_finite_triple(value), "three finite numbers"
-        elif key == "gain":
-            ok = value is None or _is_finite_number(value)
-            want = "null or a finite number"
-        elif key in ("a0", "a1"):
-            ok = _is_finite_number(value) \
-                or isinstance(value, float) and math.isnan(value)
-            want = "a number, not infinite"
-        else:
-            ok, want = _is_finite_number(value), "a finite number"
-        if not ok:
-            raise ConfigInvalid(f"physics.{key} must be {want}: {value!r}")
-
-
-def _check_pointgas(cfg: dict) -> None:
-    pg = cfg["pointgas"]
-    _check_integer("pointgas.n_atoms", pg["n_atoms"])
-    _check_integer("pointgas.n_clouds", pg["n_clouds"])
-    _check_positive("pointgas.size", pg["size"])
-    if pg["profile"] not in PROFILES:
-        raise ConfigInvalid(
-            f"pointgas.profile must be one of {PROFILES}: {pg['profile']!r}")
-    dk = pg["delta_k"]
-    if not _is_finite_triple(dk):
-        raise ConfigInvalid(
-            f"pointgas.delta_k must be three finite numbers: {dk!r}")
+def _check_field(cfg: dict, path: str) -> None:
+    """Raise ConfigInvalid unless the value at path passes its _FIELDS row."""
+    rule, want = _FIELDS[path]
+    section, _, key = path.rpartition(".")
+    value = (cfg[section] if section else cfg)[key]
+    if isinstance(rule, range):
+        # Test the type first: `in` scans a range for a non-int.
+        ok = isinstance(value, int) and not isinstance(value, bool) \
+            and value in rule
+    else:
+        ok = rule(value)
+    if not ok:
+        raise ConfigInvalid(f"{path} must be {want}: {value!r}")
 
 
 def _check_scenario(cfg: dict) -> None:
@@ -185,13 +161,6 @@ def _check_scenario(cfg: dict) -> None:
         raise ConfigInvalid(f"invalid scenario: {exc}") from exc
 
 
-# The value checks of each config section.  Whether a section passes
-# depends on no other section, only on the analyses list.
-_SECTION_CHECKS = {"seed": _check_seed, "modes": _check_modes,
-                   "physics": _check_physics, "pointgas": _check_pointgas,
-                   "scenario": _check_scenario}
-
-
 def _check_values(cfg: dict) -> None:
     """Value checks on a merged config, shared by load_config and sweep."""
     if not isinstance(cfg["analyses"], list):
@@ -199,8 +168,9 @@ def _check_values(cfg: dict) -> None:
     for name in cfg["analyses"]:
         if name not in ANALYSES:
             raise ConfigInvalid(f"unknown analysis: analyses.{name}")
-    for check in _SECTION_CHECKS.values():
-        check(cfg)
+    for path in _FIELDS:
+        _check_field(cfg, path)
+    _check_scenario(cfg)
 
 
 def load_config(path) -> dict:
@@ -446,22 +416,25 @@ def sweep(cfg: dict, param: str, values, out_dir) -> list:
     Every point is checked before the first one runs, so a bad value
     raises ConfigInvalid and writes nothing.  The first point passes all
     of _check_values; a later point differs from it only at param, so it
-    passes the checks of param's section alone.  An analysis recomputes
-    only when a value it reads differs from the previous point's, and a
-    reused result reuses its formatted CSV cells.
+    passes param's _FIELDS row alone, or _check_scenario for a scenario
+    path.  An analysis recomputes only when a value it reads differs from
+    the previous point's, and a reused result reuses its formatted CSV
+    cells.
     """
     values = list(values)
     point = copy.deepcopy(cfg)
     node, key = _resolve_path(point, param)
-    settings = [int(v) if param in _INTEGER_FIELDS and isinstance(v, float)
+    integer = isinstance(_FIELDS.get(param, (None,))[0], range)
+    settings = [int(v) if integer and isinstance(v, float)
                 and v.is_integer() else v for v in values]
-    check_section = _SECTION_CHECKS.get(param.partition(".")[0])
     for i, setting in enumerate(settings):
         node[key] = setting
         if not i:
             _check_values(point)
-        elif check_section is not None:
-            check_section(point)
+        elif param in _FIELDS:
+            _check_field(point, param)
+        elif param.startswith("scenario."):
+            _check_scenario(point)
     provenance = _provenance(
         {"config": cfg, "param": param, "values": values}, cfg["seed"])
     out = Path(out_dir)
@@ -513,7 +486,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = _check_integer("seed", args.seed)
+            cfg["seed"] = args.seed
+            _check_field(cfg, "seed")
         out_dir = args.out if args.out is not None else cfg["output_dir"]
         if args.command == "run":
             run(cfg, out_dir)

@@ -31,6 +31,9 @@ from .errors import DegenerateGeometry, MixedWavenumbers
 from .medium import cross_matrix
 
 DEGENERACY_TOL = 1e-12
+# The highest mode order m + n whose normalization B is a positive finite
+# float: from order 150, pi * 2**(m + n) * m! * n! overflows at n = 0.
+MAX_ORDER = 149
 
 
 def medium_matrix(a0: float, a1: float, j_hat) -> np.ndarray:
@@ -145,6 +148,10 @@ class HermiteGaussMode:
     def __post_init__(self):
         if not (_is_mode_index(self.m) and _is_mode_index(self.n)):
             raise ValueError("mode indices must be nonnegative integers: "
+                             f"{self.m!r}, {self.n!r}")
+        # operator.index: a sum of two numpy uint8 indices would wrap.
+        if operator.index(self.m) + operator.index(self.n) > MAX_ORDER:
+            raise ValueError(f"mode order m + n must be at most {MAX_ORDER}: "
                              f"{self.m!r}, {self.n!r}")
         if not all(math.isfinite(v) and v > 0 for v in (self.w0, self.k)):
             raise ValueError("w0 and k must be finite and positive")

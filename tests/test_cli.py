@@ -17,6 +17,7 @@ import pytest
 import atomlight
 from atomlight import cli, pointgas, propagator
 from atomlight.cli import ANALYSES, load_config, main
+from atomlight.modes import MAX_ORDER
 from atomlight.errors import (AnalysisFailed, AtomLightError, BadParameterPath,
                               ConfigInvalid)
 from atomlight.cli import _analyse, _fmt, _resolve_path, sweep
@@ -180,6 +181,24 @@ class TestConfigValidation:
         assert main(["--out", str(out), "run", str(path)]) == 2
         assert not out.exists()
 
+    def test_max_order_at_upper_bound_loads(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, analyses=["regime"],
+                                       modes={"max_order": MAX_ORDER}))
+        assert cfg["modes"]["max_order"] == 149
+
+    @pytest.mark.parametrize("max_order", [
+        150, pytest.param(10**30, id="10**30")])
+    def test_max_order_above_basis_rejected(self, tmp_path, max_order):
+        path = write_config(tmp_path, analyses=["rho-coefficients"],
+                            modes={"max_order": max_order})
+        with pytest.raises(ConfigInvalid,
+                           match=r"modes.max_order must be an integer in "
+                                 r"\[0, 150\)"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+
     def test_pointgas_counts_at_upper_bound_load(self, tmp_path):
         # Loaded only: the largest counts are far too big to run.
         cfg = load_config(write_config(
@@ -221,8 +240,8 @@ class TestConfigValidation:
         path = write_config(tmp_path, analyses=["rho-coefficients"],
                             physics={key: value})
         out = tmp_path / "out"
-        assert main(["--out", str(out), "run", str(path)]) == 3
-        assert not (out / "rho-coefficients.csv").exists()
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("a0", float("inf")), ("a0", float("-inf")), ("a1", float("inf")),
@@ -454,6 +473,9 @@ class TestSweep:
         ("pointgas", "pointgas.n_clouds", "16,1e30"),
         ("pointgas", "pointgas.n_atoms", "10,9223372036854775808"),
         ("pointgas", "pointgas.n_atoms", "10,1e30"),
+        ("rho-coefficients", "modes.max_order", "2,150"),
+        ("rho-coefficients", "modes.max_order", "2,1e30"),
+        ("rho-coefficients", "physics.a1", "0.3,nan"),
     ])
     def test_bad_point_writes_nothing(self, tmp_path, analysis, param, values):
         path = write_config(tmp_path, analyses=[analysis])
@@ -620,10 +642,11 @@ def scalar_paths(cfg):
 
 
 class TestSweepPointChecks:
-    """Points after the first pass only their swept section's checks."""
+    """Points after the first pass only their swept field's check."""
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1, 0, 1.5,
-                                     "x"])
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), -1, 0, 1.5, "x",
+        pytest.param(10**30, id="10**30")])
     def test_section_checks_agree_with_whole_check(self, tmp_path, bad):
         cfg = full_config(tmp_path)
         paths = list(scalar_paths(cfg))
@@ -647,6 +670,18 @@ class TestSweepPointChecks:
                 got = None  # a value that passes the checks may fail later
             assert got == expected, param
             assert expected is None or not out.exists(), param
+
+
+class TestFieldRules:
+    def test_every_default_field_has_one_rule_in_order(self):
+        fields = []
+        for name, value in cli._DEFAULTS.items():
+            if isinstance(value, dict):
+                fields += (f"{name}.{key}" for key in value)
+            # output_dir is a free path; _check_values checks analyses.
+            elif name not in ("output_dir", "analyses"):
+                fields.append(name)
+        assert list(cli._FIELDS) == fields
 
 
 def run_python(*args):

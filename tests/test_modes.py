@@ -1,12 +1,14 @@
 """Tests for dressed plane waves and the Hermite-Gauss paraxial basis."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.special
 
 from atomlight import modes
 from atomlight.errors import DegenerateGeometry, MixedWavenumbers
-from atomlight.modes import (HermiteGaussMode, _eval_hermite,
+from atomlight.modes import (MAX_ORDER, HermiteGaussMode, _eval_hermite,
                              completeness_kernel, dressed_modes,
                              expand_function, hermite_gauss_eval, make_grid,
                              medium_inner, medium_matrix, overlap_field)
@@ -173,6 +175,18 @@ class TestHermiteGaussModeChecks:
     def test_bad_scale_rejected(self, k, w0):
         with pytest.raises(ValueError, match="w0 and k"):
             HermiteGaussMode(1, 0, k, w0)
+
+    def test_normalization_finite_up_to_max_order(self):
+        for m in range(MAX_ORDER + 1):
+            B = HermiteGaussMode(m, MAX_ORDER - m, 10.0, 1.0).B
+            assert math.isfinite(B) and B > 0, m
+
+    @pytest.mark.parametrize("m, n", [
+        (0, MAX_ORDER + 1), (MAX_ORDER + 1, 0), (75, 75),
+        (np.uint8(200), np.uint8(100)), (10**30, 0)])
+    def test_order_above_max_rejected(self, m, n):
+        with pytest.raises(ValueError, match="at most 149"):
+            HermiteGaussMode(m, n, 10.0, 1.0)
 
     def test_numpy_integer_indices_accepted(self):
         grid = make_grid(1.0, n=16)
