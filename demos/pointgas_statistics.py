@@ -6,10 +6,8 @@ self-term N that the continuous description misses.  The corrected
 estimator recovers |f|^2 within its error bars.
 """
 
-import numpy as np
-
-from atomlight.pointgas import (CorrelationEstimate, box_form_factor,
-                                sampled_scattering_sums, stream_keys)
+from atomlight.pointgas import (box_form_factor, density_correlation,
+                                stream_keys)
 
 
 def main():
@@ -20,9 +18,7 @@ def main():
           f"{'|f|^2 exact':>12}")
     for dk in (0.0, 2.0, 4.0, 8.0, 20.0, 60.0):
         keys = stream_keys(seed + int(10 * dk), n_clouds)
-        sums = sampled_scattering_sums(n_atoms, "box", size, keys,
-                                       [dk, 0.0, 0.0])
-        est = CorrelationEstimate.from_sums(sums, n_atoms, [dk, 0.0, 0.0])
+        est = density_correlation(n_atoms, "box", size, keys, [dk, 0.0, 0.0])
         exact = box_form_factor([dk, 0.0, 0.0], size)
         print(f"{dk:6.1f} {est.raw_mean:12.2f} {est.corrected_mean:12.6f} "
               f"{est.corrected_sem:9.6f} {exact:12.6f}")

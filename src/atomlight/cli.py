@@ -62,8 +62,8 @@ from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
                        paraxial_stokes_map, symplectic_form)
 from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
 from .modes import MAX_ORDER
-from .pointgas import (MAX_STREAMS, MIN_BATCHES, PROFILES, SampledClouds,
-                       density_correlation, stream_keys)
+from .pointgas import (MAX_STREAMS, MIN_BATCHES, PROFILES, density_correlation,
+                       stream_keys)
 from .propagator import short_propagator_closed, short_propagator_quadrature
 from .regime import (Scenario, _is_finite, check_fresnel_basis,
                      check_light_series, check_spin_series, fresnel_number)
@@ -325,9 +325,9 @@ def _analysis_memory(cfg: dict):
 @_reads("seed", "pointgas")
 def _analysis_pointgas(cfg: dict):
     pg = cfg["pointgas"]
-    clouds = SampledClouds(pg["n_atoms"], pg["profile"], float(pg["size"]),
-                           stream_keys(cfg["seed"], pg["n_clouds"]))
-    est = density_correlation(clouds, pg["delta_k"])
+    est = density_correlation(pg["n_atoms"], pg["profile"], float(pg["size"]),
+                              stream_keys(cfg["seed"], pg["n_clouds"]),
+                              pg["delta_k"])
     stats = ("raw_mean", "raw_sem", "corrected_mean", "corrected_sem",
              "self_term")
     row = {**dict(zip(("dk_x", "dk_y", "dk_z"), est.delta_k)),

@@ -25,6 +25,8 @@ n_atoms, 3) batch and scattering_sums sums a given batch;
 sampled_scattering_sums draws and sums each block in buffers its
 thread reuses, and never holds the batch.  Every thread writes its own
 clouds, so the results do not depend on the thread count.
+density_correlation estimates from sampled_scattering_sums; a batch in
+memory goes through CorrelationEstimate.from_sums(scattering_sums(...)).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # loaded at import, not in the first call
@@ -45,17 +46,6 @@ MIN_BATCHES = 16
 MAX_STREAMS = 2**32
 
 PROFILES = ("box", "gaussian")
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Philox-backed generator for a root seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def spawn_rngs(seed: int, n: int) -> list:
-    """n independent Philox streams spawned from one root seed."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
 # SeedSequence's hash (numpy/random/bit_generator.pyx, NEP 19): 32-bit
@@ -88,7 +78,7 @@ def stream_keys(seed: int, n: int) -> np.ndarray:
 
     Row i equals SeedSequence(seed).spawn(n)[i].generate_state(2,
     np.uint64), the key Philox takes from child i, so a Philox with key
-    row i and a zero counter draws what spawn_rngs(seed, n)[i] draws.
+    row i and a zero counter draws what Philox(child i) draws.
     Only the last entropy word, the spawn index, differs between the
     children: the pool is mixed once and the spawn word over an array.
     """
@@ -252,8 +242,9 @@ def sample_clouds(n_atoms: int, profile: str, size: float,
     keys is an (n, 2) uint64 array such as stream_keys(seed, n).  Row i
     holds the same bits as rng.uniform(-size/2, size/2, (n_atoms, 3)) or
     rng.normal(0, size, (n_atoms, 3)) of a fresh Philox generator with
-    key keys[i] (spawn_rngs(seed, n)[i] for stream_keys(seed, n)): the
-    same draws, scaled and shifted by the same operations.
+    key keys[i] (Philox(SeedSequence(seed).spawn(n)[i]) for
+    stream_keys(seed, n)): the same draws, scaled and shifted by the same
+    operations.
     """
     fill, shift = _fill_rule(n_atoms, profile, size)
     keys = _as_keys(keys)
@@ -267,21 +258,11 @@ def sample_clouds(n_atoms: int, profile: str, size: float,
     return out
 
 
-def sample_cloud(n_atoms: int, profile: str, size: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Positions (n_atoms, 3) of one cloud drawn by rng; see sample_clouds."""
-    fill, shift = _fill_rule(n_atoms, profile, size)
-    out = np.empty((n_atoms, 3))
-    getattr(rng, fill)(out=out)
-    out *= size
-    out += shift
-    return out
-
-
 def scattering_sums(clouds, delta_k) -> np.ndarray:
     """|sum_a exp(i delta_k . r_a)|^2 for each cloud of (c, n, 3) positions.
 
-    At delta_k = 0 each entry is exactly n^2: all atoms scatter in phase.
+    A ragged list of clouds raises ValueError.  At delta_k = 0 each
+    entry is exactly n^2: all atoms scatter in phase.
     """
     clouds = np.asarray(clouds, dtype=float)
     if clouds.ndim != 3 or clouds.shape[2] != 3:
@@ -327,25 +308,6 @@ def sampled_scattering_sums(n_atoms: int, profile: str, size: float,
     return _intensities(amps)
 
 
-class SampledClouds(NamedTuple):
-    """The clouds of sample_clouds(n_atoms, profile, size, keys), unsampled.
-
-    density_correlation draws and sums them block by block through
-    sampled_scattering_sums, without the (len(keys), n_atoms, 3) batch.
-    """
-
-    n_atoms: int
-    profile: str
-    size: float
-    keys: np.ndarray
-
-
-def scattering_sum(positions: np.ndarray, delta_k) -> float:
-    """|sum_a exp(i delta_k . r_a)|^2 for one cloud; see scattering_sums."""
-    return float(scattering_sums(np.asarray(positions, dtype=float)[None],
-                                 delta_k)[0])
-
-
 @dataclass(frozen=True)
 class CorrelationEstimate:
     """Batched estimate of the scattering sum at one momentum transfer."""
@@ -374,13 +336,16 @@ class CorrelationEstimate:
         TooFewBatches otherwise.  The corrected estimator subtracts the
         exact self-term N and normalizes by the N^2 - N ordered pairs,
         converging to |f(delta_k)|^2 with f the normalized form factor
-        of the density profile.
+        of the density profile; N < 2 has no pairs and raises
+        ValueError.
         """
         vals = np.asarray(sums, dtype=float)
         if len(vals) < MIN_BATCHES:
             raise TooFewBatches(
                 f"need at least {MIN_BATCHES} clouds, got {len(vals)}")
         n_atoms = operator.index(n_atoms)
+        if n_atoms < 2:
+            raise ValueError(f"n_atoms must be at least 2, got {n_atoms}")
         raw_mean = float(np.mean(vals))
         raw_sem = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
         denom = n_atoms * (n_atoms - 1)
@@ -393,20 +358,16 @@ class CorrelationEstimate:
             corrected_sem=float(np.std(corr, ddof=1) / np.sqrt(len(corr))))
 
 
-def density_correlation(clouds, delta_k) -> CorrelationEstimate:
-    """Estimate the scattering sum over a batch of independent clouds.
+def density_correlation(n_atoms: int, profile: str, size: float, keys,
+                        delta_k) -> CorrelationEstimate:
+    """Estimate the scattering sum over the clouds of Philox keys `keys`.
 
-    `clouds` is a SampledClouds, a (c, n, 3) array, or anything
-    np.asarray turns into one; a ragged list of clouds raises
-    ValueError.  The statistics, and the TooFewBatches error below 16
-    clouds, are CorrelationEstimate.from_sums.
+    The clouds are those of sample_clouds(n_atoms, profile, size, keys),
+    drawn and summed by sampled_scattering_sums without the batch.  The
+    statistics, and the errors below 16 clouds or 2 atoms, are
+    CorrelationEstimate.from_sums.
     """
-    if isinstance(clouds, SampledClouds):
-        sums, n_atoms = sampled_scattering_sums(*clouds, delta_k), \
-            clouds.n_atoms
-    else:
-        clouds = np.asarray(clouds, dtype=float)
-        sums, n_atoms = scattering_sums(clouds, delta_k), clouds.shape[1]
+    sums = sampled_scattering_sums(n_atoms, profile, size, keys, delta_k)
     return CorrelationEstimate.from_sums(sums, n_atoms, delta_k)
 
 

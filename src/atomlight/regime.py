@@ -12,7 +12,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
+
+from .modes import MAX_ORDER
 
 THRESHOLD = 0.1
 OD_CONSISTENCY = 0.2
@@ -184,7 +187,15 @@ def check_fresnel(F: float, m: int, n: int) -> RegimeCheck:
 
 
 def check_fresnel_basis(F: float, max_order: int) -> list[RegimeCheck]:
-    """Fresnel checks for every Hermite-Gauss mode with m + n <= max_order."""
+    """Fresnel checks for every Hermite-Gauss mode with m + n <= max_order.
+
+    max_order must be an integer in 0 .. modes.MAX_ORDER; ValueError
+    otherwise, before any check is built.
+    """
+    max_order = operator.index(max_order)
+    if not 0 <= max_order <= MAX_ORDER:
+        raise ValueError(
+            f"max_order must be in 0..{MAX_ORDER}, got {max_order}")
     return [check_fresnel(F, m, n)
             for m in range(max_order + 1)
             for n in range(max_order + 1 - m)]

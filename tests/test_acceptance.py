@@ -15,8 +15,8 @@ from atomlight.dynamics import (GaussianState, QuadratureOrdering,
                                 symplectic_form)
 from atomlight.medium import lorentz_lorenz, lorentz_lorenz_series
 from atomlight.modes import HermiteGaussMode, hermite_gauss_eval, make_grid
-from atomlight.pointgas import (density_correlation, sample_cloud,
-                                scattering_sum, spawn_rngs)
+from atomlight.pointgas import (CorrelationEstimate, sample_clouds,
+                                scattering_sums, stream_keys)
 from atomlight.propagator import (GreensSum, greens_reciprocity_residual,
                                   short_propagator_closed,
                                   short_propagator_quadrature,
@@ -143,11 +143,11 @@ def test_06_lorentz_lorenz_series():
 def test_07_point_gas_split():
     t0 = time.perf_counter()
     n, n_clouds = 100, 256
-    rngs = spawn_rngs(424242, n_clouds)
-    clouds = [sample_cloud(n, "box", 1.0, r) for r in rngs]
-    exact = all(scattering_sum(c, [0.0, 0.0, 0.0]) == float(n * n)
-                for c in clouds[:16])
-    est = density_correlation(clouds, [90.0, 0.0, 0.0])
+    clouds = sample_clouds(n, "box", 1.0, stream_keys(424242, n_clouds))
+    exact = bool(np.all(scattering_sums(clouds[:16], [0.0, 0.0, 0.0])
+                        == float(n * n)))
+    dk = [90.0, 0.0, 0.0]
+    est = CorrelationEstimate.from_sums(scattering_sums(clouds, dk), n, dk)
     nsigma = abs(est.raw_mean - n) / est.raw_sem
     elapsed = time.perf_counter() - t0
     ok = exact and nsigma < 5.0 and elapsed < 10.0

@@ -21,7 +21,8 @@ from atomlight.modes import MAX_ORDER
 from atomlight.errors import (AnalysisFailed, AtomLightError, BadParameterPath,
                               ConfigInvalid)
 from atomlight.cli import _analyse, _fmt, _resolve_path, sweep
-from atomlight.pointgas import density_correlation, sample_clouds, stream_keys
+from atomlight.pointgas import (CorrelationEstimate, sample_clouds,
+                                scattering_sums, stream_keys)
 
 
 BASE_CONFIG = {
@@ -342,8 +343,6 @@ class TestRun:
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
         monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-        monkeypatch.setattr(pointgas, "spawn_rngs",
-                            lambda *args: spawns.append(args))
         path = write_config(tmp_path, analyses=["pointgas"],
                             pointgas={"n_atoms": 10, "n_clouds": 1000})
         assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 0
@@ -361,9 +360,9 @@ class TestRun:
             "size": 1.7, "delta_k": dk})
         out = tmp_path / "out"
         assert main(["--out", str(out), "run", str(path)]) == 0
-        est = density_correlation(
-            sample_clouds(n_atoms, profile, 1.7, stream_keys(11, n_clouds)),
-            dk)
+        clouds = sample_clouds(n_atoms, profile, 1.7, stream_keys(11, n_clouds))
+        est = CorrelationEstimate.from_sums(scattering_sums(clouds, dk),
+                                            n_atoms, dk)
         expect = {**dict(zip(("dk_x", "dk_y", "dk_z"), est.delta_k)),
                   "n_atoms": est.n_atoms, "n_clouds": est.n_batches,
                   **{k: getattr(est, k) for k in (

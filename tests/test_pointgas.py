@@ -7,14 +7,17 @@ import pytest
 
 from atomlight import pointgas
 from atomlight.errors import TooFewBatches, UnknownProfile
-from atomlight.pointgas import (CorrelationEstimate, SampledClouds,
-                                box_form_factor,
+from atomlight.pointgas import (CorrelationEstimate, box_form_factor,
                                 density_correlation, gaussian_form_factor,
-                                make_rng, sample_cloud, sample_clouds,
-                                sampled_scattering_sums, scattering_sum,
-                                scattering_sums, spawn_rngs,
-                                spin_correlation_check,
+                                sample_clouds, sampled_scattering_sums,
+                                scattering_sums, spin_correlation_check,
                                 spin_half_self_product, stream_keys)
+
+
+def spawned_generators(seed, n):
+    """Philox generators of SeedSequence(seed).spawn(n): stream_keys' reference."""
+    children = np.random.SeedSequence(seed).spawn(n)
+    return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
 def reference_clouds(n_atoms, profile, size, rngs):
@@ -39,29 +42,26 @@ DELTA_KS = ([0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [1e3, -7.0, 250.0])
 class TestSampling:
     def test_unknown_profile(self):
         with pytest.raises(UnknownProfile):
-            sample_cloud(10, "ring", 1.0, make_rng(0))
+            sample_clouds(10, "ring", 1.0, stream_keys(0, 1))
 
     def test_box_bounds(self):
-        pts = sample_cloud(1000, "box", 2.0, make_rng(1))
+        pts = sample_clouds(1000, "box", 2.0, stream_keys(1, 1))[0]
         assert pts.shape == (1000, 3)
         assert np.max(np.abs(pts)) <= 1.0
 
     def test_reproducible(self):
-        a = sample_cloud(50, "gaussian", 1.0, make_rng(7))
-        b = sample_cloud(50, "gaussian", 1.0, make_rng(7))
+        a = sample_clouds(50, "gaussian", 1.0, stream_keys(7, 1))
+        b = sample_clouds(50, "gaussian", 1.0, stream_keys(7, 1))
         assert np.array_equal(a, b)
 
     def test_spawned_streams_differ(self):
-        r1, r2 = spawn_rngs(3, 2)
-        a = sample_cloud(50, "box", 1.0, r1)
-        b = sample_cloud(50, "box", 1.0, r2)
+        a, b = sample_clouds(50, "box", 1.0, stream_keys(3, 2))
         assert not np.array_equal(a, b)
 
     def test_spawn_reproducible(self):
-        a = [sample_cloud(10, "box", 1.0, r) for r in spawn_rngs(9, 3)]
-        b = [sample_cloud(10, "box", 1.0, r) for r in spawn_rngs(9, 3)]
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        a = sample_clouds(10, "box", 1.0, stream_keys(9, 3))
+        b = sample_clouds(10, "box", 1.0, stream_keys(9, 3))
+        assert np.array_equal(a, b)
 
 
 class TestBatchedAgainstReference:
@@ -73,21 +73,23 @@ class TestBatchedAgainstReference:
         seed = n_atoms + n_clouds
         for size in (0.5, 1.7):
             ref = reference_clouds(n_atoms, profile, size,
-                                   spawn_rngs(seed, n_clouds))
+                                   spawned_generators(seed, n_clouds))
             clouds = sample_clouds(n_atoms, profile, size,
                                    stream_keys(seed, n_clouds))
             assert np.array_equal(clouds, ref)
             for dk in DELTA_KS:
                 ref_sums = reference_sums(ref, dk)
-                assert np.array_equal(scattering_sums(clouds, dk), ref_sums)
-                assert scattering_sum(clouds[0], dk) == ref_sums[0]
+                sums = scattering_sums(clouds, dk)
+                assert np.array_equal(sums, ref_sums)
+                assert scattering_sums(clouds[0][None], dk)[0] == ref_sums[0]
                 if n_clouds >= 16 and n_atoms >= 2:
-                    est = density_correlation(clouds, dk)
+                    est = CorrelationEstimate.from_sums(sums, n_atoms, dk)
                     assert est.raw_mean == float(np.mean(ref_sums))
 
     def test_more_threads_than_cores_same_bytes(self, monkeypatch):
         dk = [2.0, -1.0, 0.5]
-        ref = reference_clouds(100, "gaussian", 1.3, spawn_rngs(5, 300))
+        ref = reference_clouds(100, "gaussian", 1.3,
+                               spawned_generators(5, 300))
         ref_sums = reference_sums(ref, dk)
         monkeypatch.setattr(pointgas, "_thread_count", lambda: 8)
         monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 250)
@@ -109,16 +111,16 @@ class TestBatchedAgainstReference:
         assert scattering_sums(clouds, [1.0, 0.0, 0.0]).shape == (1,)
 
     def test_ragged_clouds_rejected(self):
-        rngs = spawn_rngs(4, 16)
-        clouds = [sample_cloud(10 + (i == 3), "box", 1.0, r)
-                  for i, r in enumerate(rngs)]
+        keys = stream_keys(4, 16)
+        clouds = [sample_clouds(10 + (i == 3), "box", 1.0, keys[i:i + 1])[0]
+                  for i in range(len(keys))]
         with pytest.raises(ValueError):
-            density_correlation(clouds, [1.0, 0.0, 0.0])
+            scattering_sums(clouds, [1.0, 0.0, 0.0])
 
     def test_list_of_clouds_accepted(self):
         clouds = sample_clouds(10, "box", 1.0, stream_keys(4, 16))
-        assert density_correlation(list(clouds), [1.0, 0.0, 0.0]) \
-            == density_correlation(clouds, [1.0, 0.0, 0.0])
+        assert np.array_equal(scattering_sums(list(clouds), [1.0, 0.0, 0.0]),
+                              scattering_sums(clouds, [1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("size", [-1.0, 0.0, np.nan, np.inf])
     def test_size_outside_domain_rejected(self, size):
@@ -145,7 +147,8 @@ class TestSampledScatteringSums:
     def test_more_threads_than_cores_same_bytes(self, monkeypatch):
         dk = [2.0, -1.0, 0.5]
         ref = reference_sums(
-            reference_clouds(100, "gaussian", 1.3, spawn_rngs(5, 300)), dk)
+            reference_clouds(100, "gaussian", 1.3,
+                             spawned_generators(5, 300)), dk)
         monkeypatch.setattr(pointgas, "_thread_count", lambda: 8)
         monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 250)
         interval = sys.getswitchinterval()
@@ -183,12 +186,12 @@ class TestSampledScatteringSums:
         keys = stream_keys(9, 40)
         dk = [3.0, 0.0, 1.0]
         for profile in pointgas.PROFILES:
-            assert density_correlation(SampledClouds(50, profile, 0.8, keys),
-                                       dk) \
-                == density_correlation(sample_clouds(50, profile, 0.8, keys),
-                                       dk)
+            clouds = sample_clouds(50, profile, 0.8, keys)
+            assert density_correlation(50, profile, 0.8, keys, dk) \
+                == CorrelationEstimate.from_sums(scattering_sums(clouds, dk),
+                                                 50, dk)
         with pytest.raises(TooFewBatches):
-            density_correlation(SampledClouds(50, "box", 1.0, keys[:15]), dk)
+            density_correlation(50, "box", 1.0, keys[:15], dk)
 
     def test_arguments_checked(self):
         keys = stream_keys(0, 16)
@@ -247,17 +250,15 @@ class TestStreamKeys:
 
     def test_key_is_the_spawned_philox_key(self):
         keys = stream_keys(2**40 + 3, 3)
-        for key, rng in zip(keys, spawn_rngs(2**40 + 3, 3)):
+        for key, rng in zip(keys, spawned_generators(2**40 + 3, 3)):
             assert np.array_equal(rng.bit_generator.state["state"]["key"], key)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 12345, 2**40 + 3, 2**64 - 1])
     @pytest.mark.parametrize("profile", pointgas.PROFILES)
     def test_rows_match_spawned_streams(self, seed, profile):
-        ref = reference_clouds(20, profile, 0.7, spawn_rngs(seed, 64))
+        ref = reference_clouds(20, profile, 0.7, spawned_generators(seed, 64))
         assert np.array_equal(
             sample_clouds(20, profile, 0.7, stream_keys(seed, 64)), ref)
-        for row, rng in zip(ref, spawn_rngs(seed, 3)):
-            assert np.array_equal(sample_cloud(20, profile, 0.7, rng), row)
 
     def test_no_streams(self):
         assert stream_keys(3, 0).shape == (0, 2)
@@ -279,25 +280,27 @@ class TestStreamKeys:
 class TestScatteringSum:
     def test_forward_is_n_squared_exactly(self):
         for n in (1, 10, 100):
-            pts = sample_cloud(n, "box", 1.0, make_rng(n))
-            assert scattering_sum(pts, [0.0, 0.0, 0.0]) == float(n * n)
+            pts = sample_clouds(n, "box", 1.0, stream_keys(n, 1))
+            assert scattering_sums(pts, [0.0, 0.0, 0.0])[0] == float(n * n)
 
     def test_single_atom(self):
         pts = np.array([[0.3, -0.2, 0.9]])
-        assert scattering_sum(pts, [5.0, 1.0, -2.0]) == pytest.approx(1.0)
+        assert scattering_sums(pts[None], [5.0, 1.0, -2.0])[0] \
+            == pytest.approx(1.0)
 
     def test_two_atoms_hand_value(self):
         pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
         dk = [0.0, 0.0, np.pi]
         # amplitudes 1 and e^{i pi/2} = i: |1 + i|^2 = 2
-        assert scattering_sum(pts, dk) == pytest.approx(2.0, abs=1e-12)
+        assert scattering_sums(pts[None], dk)[0] \
+            == pytest.approx(2.0, abs=1e-12)
 
 
 class TestDensityCorrelation:
     def test_too_few_batches(self):
-        clouds = [sample_cloud(10, "box", 1.0, r) for r in spawn_rngs(0, 8)]
         with pytest.raises(TooFewBatches):
-            density_correlation(clouds, [1.0, 0.0, 0.0])
+            density_correlation(10, "box", 1.0, stream_keys(0, 8),
+                                [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("n_clouds", [0, 1, 15])
     def test_from_sums_too_few_batches(self, n_clouds):
@@ -305,20 +308,32 @@ class TestDensityCorrelation:
             CorrelationEstimate.from_sums(np.full(n_clouds, 10.0), 10,
                                           [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("n_atoms", [-3, 0, 1])
+    def test_from_sums_needs_a_pair_of_atoms(self, n_atoms):
+        # The pair estimator divides by N^2 - N.
+        with pytest.raises(ValueError, match="n_atoms"):
+            CorrelationEstimate.from_sums(np.full(16, 1.0), n_atoms,
+                                          [1.0, 0.0, 0.0])
+
+    def test_one_atom_clouds_rejected(self):
+        with pytest.raises(ValueError, match="n_atoms"):
+            density_correlation(1, "box", 1.0, stream_keys(1, 16),
+                                [1.0, 0.0, 0.0])
+
     def test_from_sums_of_the_batch_sums(self):
-        clouds = sample_clouds(10, "gaussian", 1.0, stream_keys(8, 16))
+        keys = stream_keys(8, 16)
+        clouds = sample_clouds(10, "gaussian", 1.0, keys)
         dk = [1.0, 2.0, 0.0]
         assert CorrelationEstimate.from_sums(scattering_sums(clouds, dk),
                                              10, dk) \
-            == density_correlation(clouds, dk)
+            == density_correlation(10, "gaussian", 1.0, keys, dk)
 
     def test_self_term_dominates_at_large_dk(self):
         # Beyond the form-factor support the mean reduces to the
         # self-term N, within 5 standard errors.
         n, n_clouds = 100, 64
-        clouds = [sample_cloud(n, "box", 1.0, r)
-                  for r in spawn_rngs(123, n_clouds)]
-        est = density_correlation(clouds, [80.0, 0.0, 0.0])
+        est = density_correlation(n, "box", 1.0, stream_keys(123, n_clouds),
+                                  [80.0, 0.0, 0.0])
         assert abs(est.raw_mean - n) < 5.0 * est.raw_sem
         assert est.self_term == n
 
@@ -326,9 +341,8 @@ class TestDensityCorrelation:
         n, n_clouds = 200, 64
         size = 1.0
         dk = [3.0, 0.0, 0.0]
-        clouds = [sample_cloud(n, "box", size, r)
-                  for r in spawn_rngs(77, n_clouds)]
-        est = density_correlation(clouds, dk)
+        est = density_correlation(n, "box", size, stream_keys(77, n_clouds),
+                                  dk)
         expect = box_form_factor(dk, size)
         assert abs(est.corrected_mean - expect) < 5.0 * est.corrected_sem
 

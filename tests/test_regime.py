@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from atomlight.modes import MAX_ORDER
 from atomlight.regime import (RegimeCheck, Scenario, check_fresnel,
                               check_fresnel_basis, check_light_series,
                               check_spin_series, fresnel_number)
@@ -91,6 +92,18 @@ class TestFresnel:
 
     def test_small_f_fails(self):
         assert not check_fresnel(5.0, 0, 0).passed
+
+    @pytest.mark.parametrize("max_order", [10**30, -1, MAX_ORDER + 1])
+    def test_basis_order_outside_domain_rejected(self, max_order):
+        # Raised before any check is built: 10**30 would not fit in memory,
+        # and -1 would give no check, a vacuous pass.
+        with pytest.raises(ValueError, match="max_order"):
+            check_fresnel_basis(1e4, max_order)
+
+    def test_basis_at_max_order(self):
+        checks = check_fresnel_basis(1e6, MAX_ORDER)
+        assert len(checks) == (MAX_ORDER + 1) * (MAX_ORDER + 2) // 2
+        assert checks[-1].name == f"fresnel({MAX_ORDER},0)"
 
 
 class TestReport:
