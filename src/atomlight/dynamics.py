@@ -13,12 +13,12 @@ variance is 1/2, [X, P] = i.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FrameNotOrthonormal, NonUniformClassicalMode
+from .modes import mode_values
 
 FRAME_TOL = 1e-12
 UNIFORMITY_TOL = 0.01
@@ -88,17 +88,6 @@ class GaussianState:
 
     def variance(self, idx: int) -> float:
         return float(self.cov[idx, idx])
-
-    def to_json(self) -> str:
-        return json.dumps({"n_light": self.ordering.n_light,
-                           "n_atom": self.ordering.n_atom,
-                           "mean": self.mean.tolist(), "cov": self.cov.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianState":
-        d = json.loads(text)
-        ordering = QuadratureOrdering(n_light=d["n_light"], n_atom=d["n_atom"])
-        return cls(ordering, np.array(d["mean"]), np.array(d["cov"]))
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +195,11 @@ def collective_commutator_matrix(modes, grid, rho: float, J_x: float,
     Evaluates norm^2 * (J_x/rho) * L * int U_m^* U_n d2r, which is
     delta_mn up to quadrature error of the grid.
     """
-    from .modes import hermite_gauss_eval
     norm2 = collective_mode_norm(rho, J_x, L)**2
-    U = np.stack([hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes])
-    # Trapezoid weights of grid.integrate: one product over the flattened
-    # grid, without holding every pairwise U_m^* U_n on the grid at once.
-    wx, wy = (np.trapezoid(np.eye(v.size), v, axis=0) for v in (grid.x, grid.y))
-    flat = U.reshape(len(modes), -1)
-    overlaps = (np.conj(flat) * np.outer(wx, wy).ravel()) @ flat.T
+    # One product over the flattened grid, without holding every pairwise
+    # U_m^* U_n on the grid at once.
+    flat = mode_values(modes, grid.X, grid.Y, z).reshape(len(modes), -1)
+    overlaps = (np.conj(flat) * grid.weights.ravel()) @ flat.T
     return norm2 * (J_x / rho) * L * overlaps
 
 

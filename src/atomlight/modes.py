@@ -10,6 +10,11 @@ Hermite-Gaussian paraxial modes serve as the transverse basis for the
 input-output maps.  Overlap fields Psi[m,n](r) = U_m^*(r) U_n(r) are the
 weights through which the atoms see mode interference.
 
+`mode_values` stacks a shared-k basis on a grid, and `TransverseGrid.weights`
+holds the trapezoid weights of `TransverseGrid.integrate`.  Overlap fields,
+the completeness kernel, expansions and the collective commutator are
+products of these two.
+
 The Hermite polynomials come from `_eval_hermite`, a numpy copy of
 scipy.special.eval_hermite: H_n(x) = He_n(sqrt(2) x) 2^(n/2), with He_n
 from the downward three-term recurrence of scipy's orthogonal_eval.pxd
@@ -197,6 +202,21 @@ def hermite_gauss_eval(mode: HermiteGaussMode, x, y, z):
     return amp * np.exp(1j * phase)
 
 
+def mode_values(basis, x, y, z: float = 0.0) -> np.ndarray:
+    """Stack U[i] = hermite_gauss_eval(basis[i], x, y, z) of a shared-k basis.
+
+    Shape (len(basis),) + the broadcast shape of x and y.  Raises
+    MixedWavenumbers unless every mode has the same k.
+    """
+    ks = {mode.k for mode in basis}
+    if len(ks) > 1:
+        raise MixedWavenumbers(f"basis mixes wavenumbers {sorted(ks)}")
+    U = np.empty((len(basis),) + np.broadcast(x, y).shape, dtype=complex)
+    for i, mode in enumerate(basis):
+        U[i] = hermite_gauss_eval(mode, x, y, z)
+    return U
+
+
 @dataclass(frozen=True)
 class TransverseGrid:
     """Uniform tensor-product grid on a transverse plane."""
@@ -212,13 +232,25 @@ class TransverseGrid:
     def Y(self):
         return self.y[None, :]
 
-    def integrate(self, field) -> complex:
-        """Trapezoid quadrature of a field sampled on the grid."""
-        return np.trapezoid(np.trapezoid(field, self.y, axis=1), self.x, axis=0)
+    @property
+    def weights(self) -> np.ndarray:
+        """(nx, ny) trapezoid weights: the integral of f is sum(weights * f)."""
+        wx, wy = (np.trapezoid(np.eye(v.size), v, axis=0) for v in (self.x, self.y))
+        return np.outer(wx, wy)
+
+    def integrate(self, field):
+        """Trapezoid quadrature over the first two (grid) axes of a field.
+
+        A numpy scalar for a 2-D field, summed pairwise (a BLAS dot is not).
+        """
+        w = self.weights[(...,) + (None,) * (np.ndim(field) - 2)]
+        return (w * field).sum(axis=(0, 1))
 
 
 def make_grid(w: float, extent_factor: float = 6.0, n: int = 128) -> TransverseGrid:
     """Square grid of half-width extent_factor*w with n points per axis."""
+    if not all(math.isfinite(v) and v > 0 for v in (w, extent_factor)):
+        raise ValueError("w and extent_factor must be finite and positive")
     if n < 2:
         raise ValueError("grid needs at least 2 points per axis")
     x = np.linspace(-extent_factor * w, extent_factor * w, n)
@@ -244,17 +276,12 @@ def overlap_field(basis: list, grid: TransverseGrid, z: float = 0.0) -> OverlapF
     Hermitian in (m, n) by construction; the transverse integral of
     Psi[m,n] is delta_mn up to quadrature error.
     """
-    ks = {mode.k for mode in basis}
-    if len(ks) > 1:
-        raise MixedWavenumbers(f"basis mixes wavenumbers {sorted(ks)}")
-    fields = [hermite_gauss_eval(mode, grid.X, grid.Y, z) for mode in basis]
-    nb = len(basis)
-    Psi = np.empty((nb, nb) + fields[0].shape, dtype=complex)
-    for m in range(nb):
-        Psi[m, m] = np.abs(fields[m])**2
-        for n in range(m + 1, nb):
-            Psi[m, n] = np.conj(fields[m]) * fields[n]
-            Psi[n, m] = np.conj(Psi[m, n])
+    U = mode_values(basis, grid.X, grid.Y, z)
+    Psi = np.empty((len(basis),) + U.shape, dtype=complex)
+    for m in range(len(basis)):
+        Psi[m, m] = np.abs(U[m])**2
+        np.multiply(np.conj(U[m]), U[m + 1:], out=Psi[m, m + 1:])
+        np.conj(Psi[m, m + 1:], out=Psi[m + 1:, m])
     return OverlapField(Psi=Psi, grid=grid, z=z)
 
 
@@ -267,11 +294,8 @@ def completeness_kernel(basis: list, grid: TransverseGrid, r_prime,
     functions.
     """
     xp, yp = r_prime
-    K = np.zeros((grid.x.size, grid.y.size), dtype=complex)
-    for mode in basis:
-        K += np.conj(hermite_gauss_eval(mode, grid.X, grid.Y, z)) \
-            * hermite_gauss_eval(mode, np.array(xp), np.array(yp), z)
-    return K
+    return np.tensordot(mode_values(basis, xp, yp, z),
+                        np.conj(mode_values(basis, grid.X, grid.Y, z)), 1)
 
 
 def expand_function(basis: list, grid: TransverseGrid, f,
@@ -282,11 +306,6 @@ def expand_function(basis: list, grid: TransverseGrid, f,
     The L2 error of the reconstruction measures completeness of the
     truncated basis for that function.
     """
-    coeffs = []
-    recon = np.zeros_like(np.asarray(f, dtype=complex))
-    for mode in basis:
-        U = hermite_gauss_eval(mode, grid.X, grid.Y, z)
-        c = grid.integrate(np.conj(U) * f)
-        coeffs.append(c)
-        recon += c * U
-    return np.array(coeffs), recon
+    U = mode_values(basis, grid.X, grid.Y, z)
+    coeffs = np.tensordot(np.conj(U) * grid.weights, f, 2)
+    return coeffs, np.tensordot(coeffs, U, 1)

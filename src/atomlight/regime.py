@@ -9,7 +9,6 @@ separate Fresnel check guards the paraxial mode expansion.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import operator
@@ -98,14 +97,6 @@ class RegimeReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "passed": self.passed,
-            "checks": [{"name": c.name, "value": c.value,
-                        "threshold": c.threshold, "passed": c.passed,
-                        "margin": c.margin} for c in self.checks],
-        }, indent=2)
 
     def table(self) -> str:
         width = max(len(c.name) for c in self.checks)

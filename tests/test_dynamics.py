@@ -36,13 +36,6 @@ class TestGaussianState:
         bad = GaussianState(ORD, np.zeros(4), 0.1 * np.eye(4))
         assert not bad.is_physical()
 
-    def test_json_roundtrip(self):
-        st = GaussianState.vacuum(ORD)
-        st2 = GaussianState.from_json(st.to_json())
-        assert np.array_equal(st.mean, st2.mean)
-        assert np.array_equal(st.cov, st2.cov)
-        assert st2.ordering == ORD
-
 
 class TestParaxialMaps:
     def test_stokes_map_matches_rotation_to_second_order(self):

@@ -7,11 +7,13 @@ import pytest
 import scipy.special
 
 from atomlight import modes
+from atomlight.dynamics import collective_commutator_matrix
 from atomlight.errors import DegenerateGeometry, MixedWavenumbers
 from atomlight.modes import (MAX_ORDER, HermiteGaussMode, _eval_hermite,
                              completeness_kernel, dressed_modes,
                              expand_function, hermite_gauss_eval, make_grid,
-                             medium_inner, medium_matrix, overlap_field)
+                             medium_inner, medium_matrix, mode_values,
+                             overlap_field)
 
 RNG = np.random.default_rng(7)
 
@@ -228,11 +230,75 @@ class TestOverlapField:
         of = overlap_field(basis, grid, z=z)
         assert abs(grid.integrate(of[0, 1])) < 1e-6
 
-    def test_mixed_wavenumbers(self):
+    @pytest.mark.parametrize("build", [
+        lambda basis, grid: overlap_field(basis, grid),
+        lambda basis, grid: completeness_kernel(basis, grid, (0.3, -0.2)),
+        lambda basis, grid: expand_function(basis, grid,
+                                            np.ones((grid.x.size, grid.y.size))),
+        lambda basis, grid: collective_commutator_matrix(basis, grid,
+                                                         1.0, 1.0, 1.0),
+    ], ids=["overlap_field", "completeness_kernel", "expand_function",
+            "collective_commutator_matrix"])
+    def test_mixed_wavenumbers(self, build):
         basis = [HermiteGaussMode(0, 0, 100.0, 1.0),
                  HermiteGaussMode(0, 0, 120.0, 1.0)]
         with pytest.raises(MixedWavenumbers):
-            overlap_field(basis, make_grid(1.0, n=32))
+            build(basis, make_grid(1.0, n=32))
+
+    @pytest.mark.parametrize("z_in_z0", [0.0, 1.0])
+    def test_equals_per_pair_reference(self, z_in_z0):
+        basis = [HermiteGaussMode(m, order - m, 100.0, 1.0)
+                 for order in range(4) for m in range(order + 1)]
+        z = z_in_z0 * basis[0].z0
+        grid = make_grid(basis[0].waist(z), n=40)
+        fields = [hermite_gauss_eval(mode, grid.X, grid.Y, z) for mode in basis]
+        want = np.empty((len(basis),) * 2 + fields[0].shape, dtype=complex)
+        for m in range(len(basis)):
+            want[m, m] = np.abs(fields[m])**2
+            for n in range(m + 1, len(basis)):
+                want[m, n] = np.conj(fields[m]) * fields[n]
+                want[n, m] = np.conj(want[m, n])
+        got = overlap_field(basis, grid, z=z).Psi
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
+class TestModeValues:
+    @pytest.mark.parametrize("z", [0.0, 0.37])
+    def test_equals_per_mode_stack(self, z):
+        basis = [HermiteGaussMode(m, order - m, 50.0, 0.8)
+                 for order in range(5) for m in range(order + 1)]
+        grid = make_grid(0.8, n=24)
+        for x, y in [(grid.X, grid.Y), (0.31, -0.2)]:
+            got = mode_values(basis, x, y, z)
+            want = np.stack([hermite_gauss_eval(mode, x, y, z)
+                             for mode in basis])
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+
+class TestGridQuadrature:
+    @staticmethod
+    def nested(grid, field):
+        return np.trapezoid(np.trapezoid(field, grid.y, axis=1), grid.x, axis=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 256])
+    def test_integrate_matches_nested_trapezoid(self, n):
+        grid = make_grid(0.7, n=n)
+        rng = np.random.default_rng(n)
+        gauss = np.exp(-((grid.X - 0.4)**2 + grid.Y**2)) * np.exp(0.3j * grid.X)
+        noise = rng.normal(size=(n, n, 3, 3)) + 1j * rng.normal(size=(n, n, 3, 3))
+        for field in (gauss, gauss.real, noise):
+            got = grid.integrate(field)
+            want = self.nested(grid, field)
+            assert np.shape(got) == np.shape(want)
+            assert type(got) is type(want)
+            scale = self.nested(grid, np.abs(field))
+            assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    def test_weights_sum_to_area(self):
+        grid = make_grid(1.5, extent_factor=4.0, n=33)
+        assert grid.weights.shape == (33, 33)
+        assert grid.weights.sum() == pytest.approx(12.0**2, rel=1e-14)
 
 
 class TestCompleteness:
@@ -261,3 +327,10 @@ class TestGridAndExport:
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
             make_grid(1.0, n=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["w", "extent_factor"])
+    def test_grid_scale_rejected(self, field, bad):
+        args = {"w": 1.0, "extent_factor": 6.0, field: bad}
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_grid(n=8, **args)
