@@ -34,9 +34,12 @@ base config, the swept parameter and the value list.  Every sweep point
 is checked before any point runs: the first with all the checks of a
 loaded config, each later one with the check of the swept field alone
 (the whole scenario check for a scenario field), since no other value
-changed.  An integral value such as 3.0 may set an integer field.  A
-sweep re-evaluates an analysis only when a config value that analysis
-reads changes.
+changed.  An integral value such as 3.0 may set an integer field.  The
+swept path also decides reuse: a sweep re-evaluates at each point only
+the analyses that declare --param or a section holding it, and reuses
+every other result from the first point.  A --values entry that is not
+a number, a config path that cannot be read as a file and a config that
+is not UTF-8 are config errors (exit 2), like a bad config value.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import functools
 import hashlib
 import json
 import math
-import pickle
 import sys
 from pathlib import Path
 
@@ -59,7 +61,7 @@ import scipy
 from . import __version__
 from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
                        collective_map_matrix, memory_protocol,
-                       paraxial_stokes_map, symplectic_form)
+                       paraxial_stokes_map, symplectic_residual)
 from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
 from .modes import MAX_ORDER
 from .pointgas import (MAX_STREAMS, MIN_BATCHES, PROFILES, density_correlation,
@@ -176,9 +178,14 @@ def _check_values(cfg: dict) -> None:
 def load_config(path) -> dict:
     """Parse and validate a run configuration file."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigInvalid(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read config file {path}: "
+                            f"{exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config is not UTF-8: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
     _check_keys("", raw, {*_DEFAULTS, "scenario"})
@@ -244,27 +251,25 @@ def _reads(*paths):
     """Declare the dotted config paths an analysis reads.
 
     The analysis is called with a config holding only those paths, so
-    reading any other raises KeyError.  The runner returns the
-    analysis's last result in memo (one dict per run or sweep) while
-    the values it reads are unchanged.  Their pickle is the key: it
-    stores floats bit for bit, so it tells -0.0 from 0.0 and 1 from
-    1.0, and costs about a quarter of their repr.  Only the last result
-    is kept.
+    reading any other raises KeyError.  The runner stores the result in
+    memo (one dict per run or sweep) under the analysis's name and
+    returns it while it is there; sweep drops it when the swept path is
+    one of the runner's `reads` or lies under one.
     """
     split = [path.rpartition(".")[::2] for path in paths]
 
     def decorate(analysis):
         @functools.wraps(analysis)
         def runner(cfg: dict, memo: dict):
-            inputs = {}
-            for section, field in split:
-                node = inputs.setdefault(section, {}) if section else inputs
-                node[field] = (cfg[section] if section else cfg)[field]
-            key = pickle.dumps(inputs)
-            last = memo.get(analysis.__name__)
-            if last is None or last[0] != key:
-                last = memo[analysis.__name__] = key, analysis(inputs)
-            return last[1]
+            name = analysis.__name__
+            if name not in memo:
+                inputs = {}
+                for section, field in split:
+                    node = inputs.setdefault(section, {}) if section else inputs
+                    node[field] = (cfg[section] if section else cfg)[field]
+                memo[name] = analysis(inputs)
+            return memo[name]
+        runner.reads = paths
         return runner
     return decorate
 
@@ -300,15 +305,14 @@ def _analysis_stokes(cfg: dict):
             list(row))
 
 
-@_reads("scenario", "physics.gain")
+@_reads("scenario.kappa", "physics.gain")
 def _analysis_memory(cfg: dict):
-    kappa = float(Scenario(**cfg["scenario"]).kappa)
+    kappa = float(cfg["scenario"]["kappa"])
     gain = cfg["physics"]["gain"]
     ordering = QuadratureOrdering(n_light=1, n_atom=1)
     vac = GaussianState.vacuum(ordering)
-    S = collective_map_matrix(ordering, kappa)
-    omega = symplectic_form(ordering)
-    sym_res = float(np.max(np.abs(S @ omega @ S.T - omega)))
+    sym_res = symplectic_residual(collective_map_matrix(ordering, kappa),
+                                  ordering)
     var_xa = apply_collective_map(vac, kappa).variance(ordering.X_A(0))
     if gain is None:
         gain = -1.0 / kappa if kappa != 0 else 0.0
@@ -369,7 +373,7 @@ _RUNNERS = {
 def _analyse(name: str, cfg: dict, memo: dict):
     """Run one analysis; errors not raised by atomlight become AnalysisFailed.
 
-    Through memo the analysis reuses its last result (see _reads).
+    The runner returns the result held in memo, if any (see _reads).
     """
     try:
         return _RUNNERS[name](cfg, memo)
@@ -410,16 +414,17 @@ def _resolve_path(cfg: dict, dotted: str):
     return node, key
 
 
-def sweep(cfg: dict, param: str, values, out_dir) -> list:
+def sweep(cfg: dict, param: str, values, out_dir) -> None:
     """Run the analyses once per value, on a copy of cfg; one CSV row each.
 
     Every point is checked before the first one runs, so a bad value
     raises ConfigInvalid and writes nothing.  The first point passes all
     of _check_values; a later point differs from it only at param, so it
     passes param's _FIELDS row alone, or _check_scenario for a scenario
-    path.  An analysis recomputes only when a value it reads differs from
-    the previous point's, and a reused result reuses its formatted CSV
-    cells.
+    path.  For the same reason an analysis is re-evaluated at each point
+    only if it reads param or a section holding it; every other one
+    returns its first point's result, whose formatted CSV cells are
+    reused.
     """
     values = list(values)
     point = copy.deepcopy(cfg)
@@ -439,27 +444,39 @@ def sweep(cfg: dict, param: str, values, out_dir) -> list:
         {"config": cfg, "param": param, "values": values}, cfg["seed"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows, lines, memo, last = [], [], {}, {}
+    # An analysis listed twice gives its columns once.
+    names = dict.fromkeys(point["analyses"])
+    stale = [_RUNNERS[name].__name__ for name in names
+             if any(p == param or param.startswith(p + ".")
+                    for p in _RUNNERS[name].reads)]
+    header, lines, memo, last = [param], [], {}, {}
     for value, setting in zip(values, settings):
         node[key] = setting
-        row, cells = {param: value}, [_fmt(value)]
-        # An analysis listed twice gives its columns once.
-        for name in dict.fromkeys(point["analyses"]):
+        for runner_name in stale:
+            memo.pop(runner_name, None)
+        cells = [_fmt(value)]
+        for name in names:
             result = _analyse(name, point, memo)
             if last.get(name, (None,))[0] is not result:
-                metrics = result[0]
-                last[name] = (
-                    result, {f"{name}.{k}": v for k, v in metrics.items()},
-                    [_fmt(v) for v in metrics.values()])
-            _, named, formatted = last[name]
-            row.update(named)
-            cells += formatted
-        rows.append(row)
+                if name not in last:
+                    header += (f"{name}.{k}" for k in result[0])
+                last[name] = result, [_fmt(v) for v in result[0].values()]
+            cells += last[name][1]
         lines.append(cells)
     safe = param.replace(".", "_")
-    _write_csv(out / f"sweep_{safe}.csv", provenance,
-               list(rows[0]) if rows else [param], lines)
-    return rows
+    _write_csv(out / f"sweep_{safe}.csv", provenance, header, lines)
+
+
+def _parse_values(text: str) -> list:
+    """The comma-separated --values as floats; none for an empty string."""
+    values = []
+    for entry in text.split(",") if text else ():
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigInvalid(
+                f"--values entry is not a number: {entry!r}") from None
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,9 +509,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             run(cfg, out_dir)
         else:
-            values = [float(v) for v in args.values.split(",")] \
-                if args.values else []
-            sweep(cfg, args.param, values, out_dir)
+            sweep(cfg, args.param, _parse_values(args.values), out_dir)
     except (ConfigInvalid, BadParameterPath) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

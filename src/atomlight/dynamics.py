@@ -223,10 +223,15 @@ def collective_map_matrix(ordering: QuadratureOrdering, kappa: float,
     return S
 
 
+def symplectic_residual(S: np.ndarray, ordering: QuadratureOrdering) -> float:
+    """max |S Omega S^T - Omega|: zero for an exactly symplectic S."""
+    O = symplectic_form(ordering)
+    return float(np.max(np.abs(S @ O @ S.T - O)))
+
+
 def is_symplectic(S: np.ndarray, ordering: QuadratureOrdering,
                   tol: float = 1e-12) -> bool:
-    O = symplectic_form(ordering)
-    return bool(np.max(np.abs(S @ O @ S.T - O)) <= tol)
+    return symplectic_residual(S, ordering) <= tol
 
 
 def apply_collective_map(state: GaussianState, kappa: float,

@@ -235,7 +235,7 @@ class TransverseGrid:
     @property
     def weights(self) -> np.ndarray:
         """(nx, ny) trapezoid weights: the integral of f is sum(weights * f)."""
-        wx, wy = (np.trapezoid(np.eye(v.size), v, axis=0) for v in (self.x, self.y))
+        wx, wy = (_trapezoid_weights(v) for v in (self.x, self.y))
         return np.outer(wx, wy)
 
     def integrate(self, field):
@@ -245,6 +245,14 @@ class TransverseGrid:
         """
         w = self.weights[(...,) + (None,) * (np.ndim(field) - 2)]
         return (w * field).sum(axis=(0, 1))
+
+
+def _trapezoid_weights(v: np.ndarray) -> np.ndarray:
+    """Trapezoid weights on axis v: half of each interval beside a point."""
+    half = np.diff(v) / 2
+    w = np.append(half, 0.0)
+    w[1:] += half
+    return w
 
 
 def make_grid(w: float, extent_factor: float = 6.0, n: int = 128) -> TransverseGrid:

@@ -267,6 +267,40 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+class TestUnreadableInput:
+    """Input that is not a config or a number list exits 2, writing nothing."""
+
+    @pytest.mark.parametrize("values, entry", [
+        ("0.1,abc", "'abc'"), ("0.1,,0.2", "''"), (",", "''"),
+        ("0.1,1e", "'1e'")])
+    def test_bad_values_entry(self, tmp_path, capsys, values, entry):
+        path = write_config(tmp_path, analyses=["rho-coefficients"])
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep", str(path), "--param",
+                     "physics.a1", "--values", values]) == 2
+        assert f"--values entry is not a number: {entry}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_directory_config(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        extra = ["--param", "physics.a1", "--values", "0.1"] \
+            if command == "sweep" else []
+        assert main(["--out", str(out), command, str(tmp_path)] + extra) == 2
+        assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{", b'{"seed": "\xe9"}'])
+    def test_config_not_utf8(self, tmp_path, capsys, data):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert f"config is not UTF-8: {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRun:
     def test_empty_analyses_summary_only(self, tmp_path):
         path = write_config(tmp_path)
@@ -628,6 +662,64 @@ class TestSweepReuse:
         assert main(["--out", str(tmp_path / "kappa"), "sweep", str(path),
                      "--param", "scenario.kappa", "--values", "0.5,1,0.5"]) == 0
         assert calls["memory_protocol"] == 3
+
+
+# One call into atomlight that each analysis body makes once.
+BODY_CALLS = ("short_propagator_quadrature", "paraxial_stokes_map",
+              "memory_protocol", "density_correlation", "check_light_series")
+
+
+def counting_bodies(monkeypatch):
+    """Count the calls to each of BODY_CALLS made through cli."""
+    calls = Counter()
+    for name in BODY_CALLS:
+        def counting(*args, _fn=getattr(cli, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+def fresh_memo_body(cfg, param, values):
+    """The CSV body of a sweep that runs every analysis at every point."""
+    point = copy.deepcopy(cfg)
+    node, key = _resolve_path(point, param)
+    lines = []
+    for value in values:
+        node[key] = value
+        header, cells = [param], [_fmt(value)]
+        for name in cfg["analyses"]:
+            metrics = _analyse(name, point, {})[0]
+            header += (f"{name}.{k}" for k in metrics)
+            cells += (_fmt(v) for v in metrics.values())
+        lines.append(cells)
+    body = io.StringIO()
+    csv.writer(body).writerows([header] + lines)
+    return body.getvalue()
+
+
+class TestSweptPathDecidesReuse:
+    """A sweep re-evaluates only the analyses that read the swept path."""
+
+    @pytest.mark.parametrize("param, values, every_point", [
+        ("physics.c0", [0.0, 1.0, -2.0, 0.5], ()),
+        ("scenario.n_photons", [1e8, 1e6, 1e10, 1e8], ("check_light_series",)),
+        ("seed", [3, 3, 4, 3], ("density_correlation",)),
+        ("scenario.kappa", [0.0, 0.5, -0.0, 1.0],
+         ("memory_protocol", "check_light_series")),
+    ])
+    def test_reruns_only_readers_of_param(self, tmp_path, monkeypatch,
+                                          param, values, every_point):
+        cfg = full_config(tmp_path)
+        out = tmp_path / "out"
+        calls = counting_bodies(monkeypatch)
+        sweep(cfg, param, values, out)
+        assert calls == {name: len(values) if name in every_point else 1
+                         for name in BODY_CALLS}
+        text = (out / f"sweep_{param.replace('.', '_')}.csv").read_bytes()
+        body = "".join(line for line in text.decode().splitlines(True)
+                       if not line.startswith("#"))
+        assert body == fresh_memo_body(cfg, param, values)
 
 
 def scalar_paths(cfg):

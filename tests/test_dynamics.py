@@ -17,7 +17,7 @@ from atomlight.dynamics import (GaussianState, LocalFrames, MemoryResult,
                                 paraxial_spin_map, paraxial_stokes_map,
                                 spontaneous_spin_correction,
                                 spontaneous_stokes_correction, symplectic_form,
-                                validate_frame)
+                                symplectic_residual, validate_frame)
 from atomlight.errors import FrameNotOrthonormal, NonUniformClassicalMode
 from atomlight.modes import HermiteGaussMode, make_grid
 
@@ -73,6 +73,15 @@ class TestCollectiveMap:
             S = collective_map_matrix(ORD, kappa)
             assert np.max(np.abs(S @ omega @ S.T - omega)) < 1e-13
             assert is_symplectic(S, ORD)
+
+    def test_symplectic_residual_is_the_largest_deviation(self):
+        omega = symplectic_form(ORD)
+        for scale in (0.0, 1e-13, 1e-11, 0.3):
+            S = collective_map_matrix(ORD, 0.7) \
+                + scale * RNG.normal(size=(4, 4))
+            residual = symplectic_residual(S, ORD)
+            assert residual == float(np.max(np.abs(S @ omega @ S.T - omega)))
+            assert is_symplectic(S, ORD) == (residual <= 1e-12)
 
     def test_vacuum_variance_growth(self):
         for kappa in (0.0, 0.5, 1.0, 2.0):

@@ -300,6 +300,17 @@ class TestGridQuadrature:
         assert grid.weights.shape == (33, 33)
         assert grid.weights.sum() == pytest.approx(12.0**2, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 128, 384, 1024])
+    def test_weights_equal_identity_rule_bits(self, n):
+        # The weights np.trapezoid gives each point of a unit-vector field.
+        rng = np.random.default_rng(n)
+        for x, y in ((np.linspace(-6.0, 6.0, n), np.linspace(-2.5, 2.5, n)),
+                     (np.sort(rng.normal(size=n)), np.cumsum(rng.random(n)))):
+            want = np.outer(np.trapezoid(np.eye(n), x, axis=0),
+                            np.trapezoid(np.eye(n), y, axis=0))
+            got = modes.TransverseGrid(x=x, y=y).weights
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
 
 class TestCompleteness:
     def test_single_term_value(self):
