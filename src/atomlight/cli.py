@@ -429,9 +429,11 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
     values = list(values)
     point = copy.deepcopy(cfg)
     node, key = _resolve_path(point, param)
-    integer = isinstance(_FIELDS.get(param, (None,))[0], range)
-    settings = [int(v) if integer and isinstance(v, float)
-                and v.is_integer() else v for v in values]
+    # An integral float inside an integer field's range becomes that int;
+    # any other entry stays as given, so an error names it as given.
+    rule = _FIELDS.get(param, (None,))[0]
+    settings = [int(v) if isinstance(rule, range) and isinstance(v, float)
+                and v.is_integer() and int(v) in rule else v for v in values]
     for i, setting in enumerate(settings):
         node[key] = setting
         if not i:

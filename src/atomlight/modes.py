@@ -10,6 +10,13 @@ Hermite-Gaussian paraxial modes serve as the transverse basis for the
 input-output maps.  Overlap fields Psi[m,n](r) = U_m^*(r) U_n(r) are the
 weights through which the atoms see mode interference.
 
+`hermite_gauss_eval` uses that a Hermite-Gaussian mode separates in x
+and y (Siegman, Lasers, ch. 16): U = c * u_m(x) * u_n(y), where each
+axis factor H(sqrt(2) x/w) e^(q x^2) carries the Gaussian envelope and
+the wavefront curvature, and the scalar c carries the normalization,
+the Gouy phase and the k z phase.  Exponentials run on the 1-D axes
+only, and the large k z enters once, in c.
+
 `mode_values` stacks a shared-k basis on a grid, and `TransverseGrid.weights`
 holds the trapezoid weights of `TransverseGrid.integrate`.  Overlap fields,
 the completeness kernel, expansions and the collective commutator are
@@ -182,24 +189,29 @@ def hermite_gauss_eval(mode: HermiteGaussMode, x, y, z):
 
     Gouy phase (m+n+1)*arctan(z/z0); wavefront curvature
     R(z) = z + z0^2/z, taken flat at the waist (the 1/R phase vanishes
-    continuously as z -> 0).
+    continuously as z -> 0).  The mode separates in x and y:
+
+        U = c * [H_m(sqrt(2) x/w) e^(q x^2)] * [H_n(sqrt(2) y/w) e^(q y^2)],
+
+    with q = -1/w^2 + i k/(2R) (q = -1/w^2 at the waist) and the scalar
+    c = B (w0/w) e^(i (k z - gouy)).  Each factor is evaluated on its own
+    axis and the result costs one product of the two; the large k z
+    phase enters once, through c, and never meets the transverse phase.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = float(z)
     z0 = mode.z0
     w = mode.waist(z)
-    rsq = x**2 + y**2
-    gouy = (mode.m + mode.n + 1) * np.arctan(z / z0)
-    phase = mode.k * z - gouy
+    q = -1.0 / w**2
     if z != 0.0:
         R = z + z0**2 / z
-        phase = phase + mode.k * rsq / (2.0 * R)
-    amp = (mode.B * (mode.w0 / w)
-           * _eval_hermite(mode.m, np.sqrt(2.0) * x / w)
-           * _eval_hermite(mode.n, np.sqrt(2.0) * y / w)
-           * np.exp(-rsq / w**2))
-    return amp * np.exp(1j * phase)
+        q = complex(q, mode.k / (2.0 * R))
+    gouy = (mode.m + mode.n + 1) * np.arctan(z / z0)
+    c = mode.B * (mode.w0 / w) * np.exp(1j * (mode.k * z - gouy))
+    ux = _eval_hermite(mode.m, np.sqrt(2.0) * x / w) * np.exp(q * x**2)
+    uy = _eval_hermite(mode.n, np.sqrt(2.0) * y / w) * np.exp(q * y**2)
+    return c * ux * uy
 
 
 def mode_values(basis, x, y, z: float = 0.0) -> np.ndarray:

@@ -24,6 +24,12 @@ polarization structure is the antisymmetric factor
 
 the identity np.eye(2), and, in S2_B, the product XI @ XI = -I that
 removes the inner polarization sum.
+
+Each separable tensor a[m, n] b[j, l] c[m', n'] d[j', l'] is the
+broadcast product of two (M, 2, M, 2) factors, a x b and c x d; S2_D
+contracts its quartic weights with the polarization pairs in one
+optimized einsum.  `stokes_field` writes the eight nonzero polarization
+blocks of each Stokes field into a zeroed, C-ordered array.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch
+from .errors import BasisMismatch, MixedWavenumbers
 from .modes import TransverseGrid, hermite_gauss_eval
 
 HERMITICITY_TOL = 1e-13
@@ -161,15 +167,28 @@ def stokes_field(basis: PolarizedModeBasis, modes, grid: TransverseGrid,
     """Pointwise Stokes operators built from mode profiles at plane z.
 
     modes: list of HermiteGaussMode, one per transverse index of basis.
+    Raises MixedWavenumbers unless every mode has k == basis.k.
     """
     if len(modes) != basis.n_modes:
         raise BasisMismatch("mode list length does not match basis")
-    U = np.stack([hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes])
-    # Psi[m, m'] on the grid times (1, sigma_z, sigma_x, sigma_y)[j, j'] / 2.
+    ks = sorted({md.k for md in modes} - {basis.k})
+    if ks:
+        raise MixedWavenumbers(
+            f"modes at wavenumbers {ks} in a basis at k = {basis.k}")
+    U = np.stack([hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes],
+                 axis=-1)
+    # Psi[m, m'] on the grid times (1, sigma_z, sigma_x, sigma_y)[j, j'] / 2,
+    # written block by block: the other 8 of the 16 (s, j, j') blocks are 0.
+    # einsum rounds each complex product U_m^* U_m' as written; a broadcast
+    # product may fuse its multiply-adds and differ in the last bit.
+    Psi = np.einsum("xym,xyM->xymM", U.conj(), U)
     pol = 0.5 * np.array([np.eye(2), [[1, 0], [0, -1]], [[0, 1], [1, 0]],
                           [[0, -1j], [1j, 0]]])
-    s = np.einsum("mxy,Mxy,sjJ->sxymjMJ", U.conj(), U, pol, order="C")
-    s0, s1, s2, s3 = s.reshape(4, grid.x.size, grid.y.size, basis.dim, basis.dim)
+    nx, ny = grid.x.size, grid.y.size
+    s = np.zeros((4, nx, ny) + (basis.n_modes, 2) * 2, dtype=complex)
+    for i, j, J in zip(*np.nonzero(pol)):
+        np.multiply(Psi, pol[i, j, J], out=s[i, :, :, :, j, :, J])
+    s0, s1, s2, s3 = s.reshape(4, nx, ny, basis.dim, basis.dim)
     return StokesField(basis=basis, grid=grid, s0=s0, s1=s1, s2=s2, s3=s3)
 
 
@@ -184,8 +203,15 @@ class SpinTermResult:
 
 
 def _kron(a, b, c, d) -> np.ndarray:
-    """Dense tensor a[m, n] b[j, l] c[m', n'] d[j', l'] in module index order."""
-    return np.einsum("mn,jl,MN,JL->mjMJnlNL", a, b, c, d)
+    """Dense tensor a[m, n] b[j, l] c[m', n'] d[j', l'] in module index order.
+
+    The broadcast product of the (m, j, n, l) factor a x b and the
+    (m', j', n', l') factor c x d.
+    """
+    ab = a[:, None, :, None] * b[None, :, None, :]
+    cd = c[:, None, :, None] * d[None, :, None, :]
+    return (ab[:, :, None, None, :, :, None, None]
+            * cd[None, None, :, :, None, None, :, :])
 
 
 def _operator_dict(basis: PolarizedModeBasis, T: np.ndarray, name: str) -> dict:
@@ -240,7 +266,8 @@ def stokes_second_order_terms(basis: PolarizedModeBasis, W: np.ndarray,
         # (Jz^2, J^4) weights pair with (c1 xi_jl xi_j'l', c0 delta_jl delta_j'l')
         pol = np.array([c1 * XI, c0 * I2])
         Dt = (0.5 * k_L * beta)**2 * np.einsum("nmMNa,ajl,aJL->mjMJnlNL",
-                                               quartic_weights, pol, pol)
+                                               quartic_weights, pol, pol,
+                                               optimize=True)
         out["S2_D"] = _operator_dict(basis, Dt, "S2_D")
     return out
 

@@ -517,6 +517,27 @@ class TestSweep:
                      "--values", values]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("analysis, param, values, message", [
+        ("rho-coefficients", "modes.max_order", "2,1e30",
+         "modes.max_order must be an integer in [0, 150): 1e+30"),
+        ("pointgas", "pointgas.n_clouds", "16,4294967297",
+         "pointgas.n_clouds must be an integer in [16, 4294967297): "
+         "4294967297.0"),
+        ("pointgas", "seed", "3,-1",
+         "seed must be an integer in [0, 18446744073709551616): -1.0"),
+    ], ids=["max_order", "n_clouds", "seed"])
+    def test_bad_integer_point_names_the_entry(self, tmp_path, capsys,
+                                               analysis, param, values,
+                                               message):
+        # The entry as its float, not the int it converts to: 1e30 is not
+        # named 1000000000000000019884624838656.
+        path = write_config(tmp_path, analyses=[analysis])
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep", str(path), "--param", param,
+                     "--values", values]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_bad_density_point_writes_nothing(self, tmp_path, capsys):
         # BASE_CONFIG has no density, and a sweep only sets existing keys.
         path = write_config(tmp_path, analyses=["regime"],

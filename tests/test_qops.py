@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from atomlight.errors import BasisMismatch
+from atomlight import qops
+from atomlight.errors import BasisMismatch, MixedWavenumbers
 from atomlight.modes import HermiteGaussMode, hermite_gauss_eval, make_grid
 from atomlight.qops import (POLS, PolarizedModeBasis, QuadraticOperator, commutator,
                             s2c_coefficient, spin_first_order,
@@ -89,6 +90,67 @@ class TestStokesField:
         for name in ("s0", "s1", "s2", "s3"):
             f = getattr(field, name)
             assert np.max(np.abs(f - np.conj(np.swapaxes(f, 2, 3)))) < 1e-13
+
+    @pytest.mark.parametrize("z", [0.0, 0.4])
+    def test_equals_three_operand_einsum(self, z):
+        k, w0 = 30.0, 1.0
+        modes = [HermiteGaussMode(m, order - m, k, w0)
+                 for order in range(3) for m in range(order + 1)]
+        basis = PolarizedModeBasis(n_modes=len(modes), k=k)
+        grid = make_grid(w0, n=20)
+        field = stokes_field(basis, modes, grid, z=z)
+        U = np.stack([hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes])
+        pol = 0.5 * np.array([np.eye(2), [[1, 0], [0, -1]], [[0, 1], [1, 0]],
+                              [[0, -1j], [1j, 0]]])
+        want = np.einsum("mxy,Mxy,sjJ->sxymjMJ", U.conj(), U, pol)
+        want = want.reshape(4, 20, 20, basis.dim, basis.dim)
+        for got, ref in zip((field.s0, field.s1, field.s2, field.s3), want):
+            assert got.shape == (20, 20, basis.dim, basis.dim)
+            assert got.flags.c_contiguous
+            # + 0.0 folds -0.0 into 0.0: einsum adds each product to a
+            # zeroed output, so it never returns -0.0.
+            np.testing.assert_array_equal((got + 0.0).view(np.int64),
+                                          (ref + 0.0).view(np.int64))
+
+    @pytest.mark.parametrize("ks", [(200.0, 250.0), (250.0, 250.0)],
+                             ids=["mixed", "other"])
+    def test_rejects_modes_off_the_basis_wavenumber(self, ks):
+        basis = PolarizedModeBasis(n_modes=2, k=200.0)
+        modes = [HermiteGaussMode(0, 0, ks[0], 1.0),
+                 HermiteGaussMode(1, 0, ks[1], 1.0)]
+        with pytest.raises(MixedWavenumbers, match="250.0"):
+            stokes_field(basis, modes, make_grid(1.0, n=8))
+
+
+class TestDenseTensors:
+    """The broadcast dense tensors against the einsum that defines them."""
+
+    @pytest.mark.parametrize("b, d", list(itertools.product(
+        [np.eye(2), qops.XI], repeat=2)), ids=["II", "IX", "XI", "XX"])
+    def test_kron_equals_einsum(self, b, d):
+        a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+        c = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+        got = qops._kron(a, b, c, d)
+        spec = "mn,jl,MN,JL->mjMJnlNL"
+        want = np.einsum(spec, a, b, c, d)
+        # The broadcast complex product may fuse multiply-adds where einsum
+        # does not: a few ulp of |a| |c|, and exact zeros where b or d vanish.
+        scale = np.einsum(spec, abs(a), abs(b), abs(c), abs(d))
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+    def test_s2d_equals_einsum(self):
+        M, k_L, beta, c1, c0 = 3, 1.7, 0.6, 0.9, 0.4
+        Q = RNG.normal(size=(M, M, M, M, 2))
+        basis = PolarizedModeBasis(n_modes=M, k=1.0)
+        ops = stokes_second_order_terms(basis, np.eye(M), k_L, beta, c1, c0,
+                                        quartic_weights=Q)["S2_D"]
+        pol = np.array([c1 * qops.XI, c0 * np.eye(2)])
+        want = (0.5 * k_L * beta)**2 * np.einsum(
+            "nmMNa,ajl,aJL->mjMJnlNL", Q, pol, pol).reshape((2 * M,) * 4)
+        labels = basis.labels()
+        got = np.array([[ops[(q, qp)].coeff for qp in labels] for q in labels])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestFirstOrder:
@@ -347,7 +409,9 @@ class TestMultimodeEntries:
                  HermiteGaussMode(0, 1, k, w0)]
         grid = make_grid(w0, n=12)
         z = 0.4
-        field = stokes_field(self.basis, modes, grid, z=z)
+        # The class basis is at k = 1; stokes_field needs the modes' k.
+        field = stokes_field(PolarizedModeBasis(n_modes=self.M, k=k), modes,
+                             grid, z=z)
         U = [hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes]
         d = self.delta
         # s_i = (1/2) U_m^* U_m' sigma_i[j, j'] with sigma = (1, z, x, y).
