@@ -1,9 +1,10 @@
 """Scan the short-propagator triple against the quadrature oracle.
 
 Shows how (rho_par, rho_perp, rho_gamma) depart from the isotropic value
-k^3/(3 pi) as the medium becomes polarized (a1 > 0), and that the closed
-forms and the 128-point Gauss-Legendre quadrature agree to full double
-precision away from the a0 = a1 edge.
+k^3/(3 pi) as the medium becomes polarized (a1 > 0).  The closed form is
+exact to a few ulps on all of 0 <= a1 < a0, so the last column is the
+error of the 128-point Gauss-Legendre oracle: near full double precision
+here, it is the oracle that departs as a1 approaches a0.
 """
 
 import numpy as np

@@ -1,7 +1,7 @@
 """Field propagators inside and outside the ensemble.
 
 Covers the equal-position delta-in-time ("infinitely short") propagator
-of the polarized medium, both as closed forms and as a Gauss-Legendre
+of the polarized medium, both as a closed form and as a Gauss-Legendre
 quadrature oracle, the classic radiating-dipole propagator, truncated
 mode-sum Green's functions with a reciprocity residual, and the light
 and spin decay coefficients the short propagator feeds.
@@ -10,7 +10,8 @@ Conventions: c = hbar = 1.  The short propagator is reported through
 the coefficient triple (rho_par, rho_perp, rho_gamma); the full matrix
 is -i*delta(t-t') times the assembled 3x3 form.  Lamb-shift (principal
 value) contributions are dropped; only the delta-in-time dissipative
-part is kept.
+part is kept.  The closed form of the triple is one expression in
+s = sqrt(a0 - a1) and t = sqrt(a0 + a1), with no a1 in a denominator.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ NEAR_SINGULAR_FRACTION = 0.05
 class ShortPropagatorCoeffs:
     """Triple (rho_par, rho_perp, rho_gamma), units of k_L^3.
 
-    near_singular flags a0 - a1 < 0.05*a0, where the 128-point oracle
-    fails (0.40 at a0 - a1 = 1e-4 a0) and the closed forms do not (1e-16).
-    It does not flag the a1 -> 0 edge, where the closed forms fail.
+    near_singular flags a0 - a1 < 0.05*a0, where the 128-point oracle is
+    inaccurate (0.40 at a0 - a1 = 1e-4 a0); the closed form is exact there.
     """
 
     rho_par: float
@@ -44,38 +44,34 @@ class ShortPropagatorCoeffs:
     near_singular: bool = False
 
 
-def _check_domain(a0: float, a1: float) -> bool:
+def _check_domain(a0: float, a1: float, k_L: float) -> bool:
     if not (a1 >= 0):
         raise OutsideDomain(f"need a1 >= 0, got {a1}")
     if not (a0 - a1 > 0):
         raise OutsideDomain(f"need a0 - a1 > 0, got {a0 - a1}")
-    if not math.isfinite(a0):
-        raise OutsideDomain(f"need a finite a0, got {a0}")
+    if not (math.isfinite(a0) and 0.0 < k_L < math.inf):
+        raise OutsideDomain(f"need finite a0, k_L and k_L > 0, got {a0}, {k_L}")
     return a0 - a1 < NEAR_SINGULAR_FRACTION * a0
 
 
 def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagatorCoeffs:
-    """Closed-form short-propagator coefficients for a0 - a1 > 0.
+    """Closed-form short-propagator coefficients for 0 <= a1 < a0.
 
-    The isotropic point a1 = 0 is taken on a dedicated branch where all
-    three expressions collapse to rho_par = rho_perp = k_L^3/(3 pi) *
-    a0^(-5/2), rho_gamma = 0.
+    With u = a0 + a1 x the moments are sums of a1^-m (s^-n - t^-n), and
+    t - s = 2 a1/(s + t) cancels every power of a1.  For
+    c = k^3/(3 pi (s + t)^3 s t) and q = s/t + t/s: rho_par = 8 c,
+    rho_perp = c (q^2 + 3 q - 2), rho_gamma = -2 c (a1/(s t)) (q + 3).
+    (s + t)^2 = 2 (a0 + s t) and s t = sqrt((a0 - a1)(a0 + a1)) make
+    s t = a0 and q = 2 at a1 = 0, so rho_perp == rho_par there, and
+    0.0 - x (not -x) keeps rho_gamma at +0.0.
     """
-    near = _check_domain(a0, a1)
-    k3 = k_L**3
-    if a1 == 0.0:
-        iso = k3 / (3.0 * np.pi) * a0**-2.5
-        return ShortPropagatorCoeffs(iso, iso, 0.0, near)
-    sm = math.sqrt(a0 - a1)
-    sp = math.sqrt(a0 + a1)
-    rho_par = (-k3 / (3.0 * np.pi * a1**3)) * (
-        (-4.0 * a0 + 2.0 * a1) / sm + (4.0 * a0 + 2.0 * a1) / sp)
-    rho_perp = (-k3 / (3.0 * np.pi * a1**3)) * (
-        (2.0 * a0**2 - 3.0 * a0 * a1 + 0.5 * a1**2) / sm**3
-        - (2.0 * a0**2 + 3.0 * a0 * a1 + 0.5 * a1**2) / sp**3)
-    rho_gamma = (k3 / (6.0 * np.pi * a1**2)) * (
-        (2.0 * a0 - 3.0 * a1) / sm**3 - (2.0 * a0 + 3.0 * a1) / sp**3)
-    return ShortPropagatorCoeffs(rho_par, rho_perp, rho_gamma, near)
+    near = _check_domain(a0, a1, k_L)
+    s, t = math.sqrt(a0 - a1), math.sqrt(a0 + a1)
+    st = math.sqrt((a0 - a1) * (a0 + a1))
+    q = s / t + t / s
+    c = k_L * k_L * k_L / (3.0 * math.pi * (s + t) * (2.0 * (a0 + st)) * st)
+    return ShortPropagatorCoeffs(8.0 * c, c * (q * (q + 3.0) - 2.0),
+                                 0.0 - 2.0 * c * (a1 / st) * (q + 3.0), near)
 
 
 @functools.cache
@@ -100,7 +96,7 @@ def short_propagator_quadrature(a0: float, a1: float, k_L: float,
         rho_par   = k^3/(8 pi) * int 2(1-x^2) f dx
         rho_perp  = k^3/(8 pi) * int (1+x^2)  f dx
         rho_gamma = k^3/(4 pi) * int x        f dx
-    with the sign of rho_gamma fixed to agree with the closed forms.  The
+    with the sign of rho_gamma fixed to agree with the closed form.  The
     rule and its (3, n_points) moment table, the weights times
     2(1-x^2), 1+x^2 and x, are built once per n_points per process; a
     call evaluates f at the nodes and sums the table times f row by
@@ -108,7 +104,7 @@ def short_propagator_quadrature(a0: float, a1: float, k_L: float,
     """
     if n_points < 64:
         raise ValueError("n_points must be at least 64")
-    near = _check_domain(a0, a1)
+    near = _check_domain(a0, a1, k_L)
     x, moments = _gauss_legendre(operator.index(n_points))
     f = (a0 + a1 * x)**-2.5
     par, perp, gamma = (moments * f).sum(axis=1).tolist()
@@ -125,7 +121,10 @@ def coordinate_free_short_propagator(coeffs: ShortPropagatorCoeffs,
     matrix rotates covariantly with j_hat.
     """
     j = np.asarray(j_hat, dtype=float)
-    j = j / np.linalg.norm(j)
+    norm = np.linalg.norm(j)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"j_hat must be finite and nonzero, got {j_hat!r}")
+    j = j / norm
     return (coeffs.rho_perp * np.eye(3, dtype=complex)
             - 1j * coeffs.rho_gamma * cross_matrix(j)
             + (coeffs.rho_par - coeffs.rho_perp) * np.outer(j, j))

@@ -602,6 +602,18 @@ class TestSweep:
         assert np.all(diffs < 0.0) or np.all(diffs > 0.0)
         assert max(devs) < 1e-10
 
+    def test_a1_sweep_below_float_range_of_a1_cubed(self, tmp_path):
+        # a1**3 underflows to 0 below a1 ~ 1e-103; the closed form has no
+        # power of a1 in a denominator, so the point runs like any other.
+        path = write_config(tmp_path, analyses=["rho-coefficients"])
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep", str(path),
+                     "--param", "physics.a1", "--values", "0.3,1e-110"]) == 0
+        rows = read_csv_rows(out / "sweep_physics_a1.csv")
+        assert len(rows) == 2
+        gamma = float(rows[1]["rho-coefficients.rho_gamma_closed"])
+        assert np.isfinite(gamma) and abs(gamma) <= 1e-100
+
 
 def full_config(tmp_path):
     """Every analysis, a small point gas and every scenario field set."""

@@ -67,6 +67,13 @@ class TestShortPropagator:
         with pytest.raises(OutsideDomain):
             coeffs(a0, a1, 1.0)
 
+    @pytest.mark.parametrize("k_L", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+    @pytest.mark.parametrize("coeffs", [short_propagator_closed,
+                                        short_propagator_quadrature])
+    def test_bad_wavenumber_outside_domain(self, coeffs, k_L):
+        with pytest.raises(OutsideDomain):
+            coeffs(1.0, 0.3, k_L)
+
     def test_near_singular_flag(self):
         assert short_propagator_closed(1.0, 0.97, 1.0).near_singular
         assert not short_propagator_closed(1.0, 0.5, 1.0).near_singular
@@ -82,6 +89,13 @@ class TestShortPropagator:
         assert M[0, 0] == pytest.approx(c.rho_perp, rel=1e-14)
         assert M[0, 1] == pytest.approx(1j * c.rho_gamma, rel=1e-14)
         assert np.max(np.abs(M - M.conj().T)) < 1e-15
+
+    @pytest.mark.parametrize("j_hat", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                       [np.inf, 0.0, 0.0]])
+    def test_coordinate_free_rejects_degenerate_direction(self, j_hat):
+        c = short_propagator_closed(1.2, 0.4, 1.0)
+        with pytest.raises(ValueError, match="j_hat"):
+            coordinate_free_short_propagator(c, j_hat)
 
     def test_coordinate_free_covariance(self):
         # Rotating j_hat conjugates the matrix by the same rotation.
@@ -127,21 +141,13 @@ class TestGaussLegendreCache:
 
 
 def closed_reference(a0, a1, k_L):
-    """The closed forms evaluated through numpy-scalar square roots."""
-    k3 = k_L**3
-    if a1 == 0.0:
-        iso = k3 / (3.0 * np.pi) * a0**-2.5
-        return iso, iso, 0.0
-    sm = np.sqrt(a0 - a1)
-    sp = np.sqrt(a0 + a1)
-    rho_par = (-k3 / (3.0 * np.pi * a1**3)) * (
-        (-4.0 * a0 + 2.0 * a1) / sm + (4.0 * a0 + 2.0 * a1) / sp)
-    rho_perp = (-k3 / (3.0 * np.pi * a1**3)) * (
-        (2.0 * a0**2 - 3.0 * a0 * a1 + 0.5 * a1**2) / sm**3
-        - (2.0 * a0**2 + 3.0 * a0 * a1 + 0.5 * a1**2) / sp**3)
-    rho_gamma = (k3 / (6.0 * np.pi * a1**2)) * (
-        (2.0 * a0 - 3.0 * a1) / sm**3 - (2.0 * a0 + 3.0 * a1) / sp**3)
-    return rho_par, rho_perp, rho_gamma
+    """The closed form evaluated through numpy-scalar square roots."""
+    s, t = np.sqrt(a0 - a1), np.sqrt(a0 + a1)
+    st = np.sqrt((a0 - a1) * (a0 + a1))
+    q = s / t + t / s
+    c = k_L * k_L * k_L / (3.0 * np.pi * (s + t) * (2.0 * (a0 + st)) * st)
+    return 8.0 * c, c * (q * (q + 3.0) - 2.0), \
+        0.0 - 2.0 * c * (a1 / st) * (q + 3.0)
 
 
 def quadrature_reference(a0, a1, k_L, rule):

@@ -1,0 +1,97 @@
+"""Property tests of the closed-form short-propagator triple against mpmath.
+
+The reference integrates the three moments of (a0 + a1 x)^(-5/2) over
+[-1, 1] with mpmath's quadrature at 50 digits.  It scales a0 out first
+(mpmath's quadrature stops on an absolute error), and integrates the odd
+moment as int_0^1 x (g(x) - g(-x)) dx with the difference written as
+(b - a) P / (a b)^5, b - a = -2 e x / (a + b), so that no moment loses
+digits to cancellation as a1 -> 0.
+"""
+
+import math
+
+import mpmath
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from atomlight.propagator import short_propagator_closed
+
+EPS = 2.0**-52
+TINY = 2.0**-1074  # below the normal range an entry has fewer bits
+
+
+def mpmath_triple(a0, a1, k_L):
+    with mpmath.workdps(50):
+        a0, e = mpmath.mpf(a0), mpmath.mpf(a1) / mpmath.mpf(a0)
+
+        def g(x):
+            return (1 + e * x)**mpmath.mpf(-2.5)
+
+        def odd_over_e(x):
+            a, b = mpmath.sqrt(1 + e * x), mpmath.sqrt(1 - e * x)
+            poly = a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4
+            return x * (-2 * x) / (a + b) * poly / (a * b)**5
+
+        pref = mpmath.mpf(k_L)**3 / (8 * mpmath.pi) * a0**mpmath.mpf(-2.5)
+        return (pref * mpmath.quad(lambda x: 2 * (1 - x * x) * g(x), [-1, 1]),
+                pref * mpmath.quad(lambda x: (1 + x * x) * g(x), [-1, 1]),
+                2 * pref * e * mpmath.quad(odd_over_e, [0, 1]))
+
+
+def assert_within(coeffs, expect, ulps):
+    got = (coeffs.rho_par, coeffs.rho_perp, coeffs.rho_gamma)
+    for name, g, x in zip(("rho_par", "rho_perp", "rho_gamma"), got, expect):
+        assert abs(g - x) <= ulps * EPS * abs(x) + ulps * TINY, \
+            (name, g, float(x))
+
+
+fractions = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-300.0, -1.0).map(lambda p: 10.0**p),
+    st.floats(-12.0, -1.0).map(lambda p: 1.0 - 10.0**p))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(log_a0=st.floats(-8.0, 8.0), fraction=fractions,
+       k_L=st.sampled_from([1.0, 1.7]))
+@example(log_a0=0.0, fraction=0.0, k_L=1.0)
+@example(log_a0=0.0, fraction=1e-300, k_L=1.0)
+@example(log_a0=math.log10(2.5), fraction=1e-110, k_L=1.7)
+@example(log_a0=0.0, fraction=1.0 - 1e-12, k_L=1.0)
+@example(log_a0=300.0, fraction=0.3, k_L=1.0)
+def test_closed_form_within_8_ulps_of_mpmath(log_a0, fraction, k_L):
+    a0 = 10.0**log_a0
+    a1 = a0 * fraction
+    assume(a1 < a0)  # the product can round up to a0
+    assert_within(short_propagator_closed(a0, a1, k_L),
+                  mpmath_triple(a0, a1, k_L), 8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a0=st.floats(1e-100, 1e100), k_L=st.sampled_from([1.0, 1.7]))
+def test_isotropic_point_is_an_ordinary_input(a0, k_L):
+    c = short_propagator_closed(a0, 0.0, k_L)
+    assert c.rho_perp == c.rho_par
+    assert c.rho_gamma == 0.0 and math.copysign(1.0, c.rho_gamma) == 1.0
+    with mpmath.workdps(50):
+        iso = (mpmath.mpf(k_L)**3 / (3 * mpmath.pi)
+               * mpmath.mpf(a0)**mpmath.mpf(-2.5))
+    assert abs(c.rho_par - iso) <= 8 * EPS * iso
+
+
+@pytest.mark.parametrize("k_L", [1.0, 1.7])
+@pytest.mark.parametrize("a0", [1.0, 2.5, 1e-3, 7e4, 1e100, 1e-100])
+def test_isotropic_point_within_2_ulps(a0, k_L):
+    with mpmath.workdps(50):
+        iso = (mpmath.mpf(k_L)**3 / (3 * mpmath.pi)
+               * mpmath.mpf(a0)**mpmath.mpf(-2.5))
+    assert abs(short_propagator_closed(a0, 0.0, k_L).rho_par - iso) \
+        <= 2 * EPS * iso
+
+
+@pytest.mark.parametrize("a1", [0.0, 3e299, 1e300 * (1.0 - 1e-9)])
+def test_huge_a0_underflows_to_positive_zero(a1):
+    c = short_propagator_closed(1e300, a1, 1.0)
+    for v in (c.rho_par, c.rho_perp, c.rho_gamma):
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
