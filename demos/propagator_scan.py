@@ -3,8 +3,8 @@
 Shows how (rho_par, rho_perp, rho_gamma) depart from the isotropic value
 k^3/(3 pi) as the medium becomes polarized (a1 > 0).  The closed form is
 exact to a few ulps on all of 0 <= a1 < a0, so the last column is the
-error of the 128-point Gauss-Legendre oracle: near full double precision
-here, it is the oracle that departs as a1 approaches a0.
+error of the 128-point Gauss-Legendre oracle, one rule in log u: about
+1e-14 here, and within 2e-13 of the largest entry for every a1 < a0.
 """
 
 import numpy as np

@@ -274,21 +274,22 @@ def _reads(*paths):
     return decorate
 
 
+_RHO_COLUMNS = ("a0", "a1", "rho_par_closed", "rho_perp_closed",
+                "rho_gamma_closed", "rho_par_quad", "rho_perp_quad",
+                "rho_gamma_quad", "max_rel_dev")
+
+
 @_reads("physics.a0", "physics.a1")
 def _analysis_rho(cfg: dict):
     ph = cfg["physics"]
     a0, a1 = float(ph["a0"]), float(ph["a1"])
-    k_L = 1.0
-    closed = vars(short_propagator_closed(a0, a1, k_L))
-    quad = vars(short_propagator_quadrature(a0, a1, k_L))
-    names = ("rho_par", "rho_perp", "rho_gamma")
-    scale = max(*(abs(closed[n]) for n in names), 1e-300)
-    row = {"a0": a0, "a1": a1,
-           **{f"{n}_closed": closed[n] for n in names},
-           **{f"{n}_quad": quad[n] for n in names},
-           "max_rel_dev": max(abs(closed[n] - quad[n]) / scale
-                              for n in names)}
-    return _pick(row, "max_rel_dev", "rho_gamma_closed"), [row], list(row)
+    closed = short_propagator_closed(a0, a1, 1.0)
+    quad = short_propagator_quadrature(a0, a1, 1.0)
+    scale = max(*map(abs, closed), 1e-300)
+    dev = max(abs(x - y) / scale for x, y in zip(closed, quad))
+    row = dict(zip(_RHO_COLUMNS, (a0, a1, *closed, *quad, dev)))
+    return ({"max_rel_dev": dev, "rho_gamma_closed": closed.rho_gamma},
+            [row], _RHO_COLUMNS)
 
 
 @_reads("physics.c1", "physics.beta", "physics.column_rho_jz",

@@ -81,8 +81,8 @@ class SpinField:
     @property
     def j_hat(self) -> np.ndarray:
         norm = np.linalg.norm(self.J, axis=-1, keepdims=True)
-        if np.any(norm == 0):
-            raise ValueError("j_hat undefined for zero mean spin")
+        if not np.all((0.0 < norm) & (norm < np.inf)):
+            raise ValueError("j_hat needs a finite nonzero mean spin")
         return self.J / norm
 
 

@@ -10,8 +10,16 @@ Conventions: c = hbar = 1.  The short propagator is reported through
 the coefficient triple (rho_par, rho_perp, rho_gamma); the full matrix
 is -i*delta(t-t') times the assembled 3x3 form.  Lamb-shift (principal
 value) contributions are dropped; only the delta-in-time dissipative
-part is kept.  The closed form of the triple is one expression in
-s = sqrt(a0 - a1) and t = sqrt(a0 + a1), with no a1 in a denominator.
+part is kept.
+
+The triple is k^3/(8 pi) times the integrals over x in [-1, 1] of
+2(1 - x^2) f, (1 + x^2) f and 2 x f, f = u^(-5/2), u = a0 + a1 x, for
+0 <= a1 < a0.  In s = sqrt(a0 - a1) and t = sqrt(a0 + a1) the closed
+form has no a1 in a denominator.  The oracle is one Gauss-Legendre rule
+in log u = ln(s t) + h T, h = ln(t/s), T in [-1, 1]: then
+x = (s t/a1) expm1(h T) - a1/(s t + a0) and f dx = (h/a1) (s t)^(-3/2)
+e^(-1.5 h T) dT, sums of e^(lambda h T), lambda in {-3/2, -1/2, 1/2},
+with h <= 18.7 (a0 - a1 >= 2^-53 a0), so it is smooth on both edges.
 """
 
 from __future__ import annotations
@@ -19,7 +27,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.legendre  # loaded at import, not in the first call
@@ -27,31 +37,20 @@ import numpy.polynomial.legendre  # loaded at import, not in the first call
 from .errors import OutsideDomain, ZeroSeparation
 from .medium import cross_matrix
 
-NEAR_SINGULAR_FRACTION = 0.05
 
-
-@dataclass(frozen=True)
-class ShortPropagatorCoeffs:
-    """Triple (rho_par, rho_perp, rho_gamma), units of k_L^3.
-
-    near_singular flags a0 - a1 < 0.05*a0, where the 128-point oracle is
-    inaccurate (0.40 at a0 - a1 = 1e-4 a0); the closed form is exact there.
-    """
+class ShortPropagatorCoeffs(NamedTuple):
+    """Triple (rho_par, rho_perp, rho_gamma), units of k_L^3."""
 
     rho_par: float
     rho_perp: float
     rho_gamma: float
-    near_singular: bool = False
 
 
-def _check_domain(a0: float, a1: float, k_L: float) -> bool:
-    if not (a1 >= 0):
-        raise OutsideDomain(f"need a1 >= 0, got {a1}")
-    if not (a0 - a1 > 0):
-        raise OutsideDomain(f"need a0 - a1 > 0, got {a0 - a1}")
-    if not (math.isfinite(a0) and 0.0 < k_L < math.inf):
-        raise OutsideDomain(f"need finite a0, k_L and k_L > 0, got {a0}, {k_L}")
-    return a0 - a1 < NEAR_SINGULAR_FRACTION * a0
+def _check_domain(a0: float, a1: float, k_L: float) -> None:
+    if not (0 <= a1 < a0 < math.inf and 0 < k_L
+            and math.isfinite(k_L * k_L * k_L)):
+        raise OutsideDomain("need 0 <= a1 < a0 < inf and k_L > 0 with a "
+                            f"finite k_L**3, got {a0}, {a1}, {k_L}")
 
 
 def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagatorCoeffs:
@@ -65,52 +64,51 @@ def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagator
     s t = a0 and q = 2 at a1 = 0, so rho_perp == rho_par there, and
     0.0 - x (not -x) keeps rho_gamma at +0.0.
     """
-    near = _check_domain(a0, a1, k_L)
+    _check_domain(a0, a1, k_L)
     s, t = math.sqrt(a0 - a1), math.sqrt(a0 + a1)
     st = math.sqrt((a0 - a1) * (a0 + a1))
     q = s / t + t / s
     c = k_L * k_L * k_L / (3.0 * math.pi * (s + t) * (2.0 * (a0 + st)) * st)
     return ShortPropagatorCoeffs(8.0 * c, c * (q * (q + 3.0) - 2.0),
-                                 0.0 - 2.0 * c * (a1 / st) * (q + 3.0), near)
+                                 0.0 - 2.0 * c * (a1 / st) * (q + 3.0))
 
 
 @functools.cache
 def _gauss_legendre(n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes x and moment table, once per n_points.
-
-    The (3, n_points) table holds the weights w times 2(1-x^2), 1+x^2
-    and x, the moment factors of the short-propagator triple.
-    """
-    x, w = np.polynomial.legendre.leggauss(n_points)
-    moments = np.stack([w * 2.0 * (1.0 - x**2), w * (1.0 + x**2), w * x])
-    x.flags.writeable = False
-    moments.flags.writeable = False
-    return x, moments
+    """Read-only Gauss-Legendre nodes and weights, once per n_points."""
+    rule = np.polynomial.legendre.leggauss(n_points)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def short_propagator_quadrature(a0: float, a1: float, k_L: float,
                                 n_points: int = 128) -> ShortPropagatorCoeffs:
-    """Gauss-Legendre evaluation of the angular integral behind the triple.
+    """Gauss-Legendre oracle for the triple: one rule in log u (see above).
 
-    The coefficients are moments of f = (a0 + a1 x)^(-5/2) over x in [-1,1]:
-        rho_par   = k^3/(8 pi) * int 2(1-x^2) f dx
-        rho_perp  = k^3/(8 pi) * int (1+x^2)  f dx
-        rho_gamma = k^3/(4 pi) * int x        f dx
-    with the sign of rho_gamma fixed to agree with the closed form.  The
-    rule and its (3, n_points) moment table, the weights times
-    2(1-x^2), 1+x^2 and x, are built once per n_points per process; a
-    call evaluates f at the nodes and sums the table times f row by
-    row.  n_points must be an integer, so 128.0 raises TypeError.
+    With wf = W e^(-1.5 h T) and x = y - b, y = (s t/a1) expm1(h T), it
+    sums wf, wf y and wf y^2 and expands the integrands in them.  Every
+    entry is within 1.6e-13 of the largest entry of a 50-digit mpmath
+    triple on 0 <= a1 < a0 at 128 nodes (4.2e-13 at 257).  The rule is
+    built once per n_points per process; n_points=128.0 raises TypeError.
     """
     if n_points < 64:
         raise ValueError("n_points must be at least 64")
-    near = _check_domain(a0, a1, k_L)
-    x, moments = _gauss_legendre(operator.index(n_points))
-    f = (a0 + a1 * x)**-2.5
-    par, perp, gamma = (moments * f).sum(axis=1).tolist()
-    pref = k_L**3 / (8.0 * np.pi)
-    return ShortPropagatorCoeffs(pref * par, pref * perp, 2.0 * pref * gamma,
-                                 near)
+    _check_domain(a0, a1, k_L)
+    T, W = _gauss_legendre(operator.index(n_points))
+    st = math.sqrt(a0 - a1) * math.sqrt(a0 + a1)
+    h = 0.5 * math.log1p(2.0 * a1 / (a0 - a1))
+    # Where st/a1 is 0/0 (a1 = 0) or overflows, the a1 -> 0 limit is exact.
+    y, b, jac = ((st / a1) * np.expm1(T * h), a1 / (st + a0), h / a1) \
+        if a1 > st / sys.float_info.max else (T, 0.0, 1.0 / a0)
+    e = np.exp(T * (-1.5 * h))
+    wf = W * e
+    m0, m1, m2 = (float(np.dot(W, e)), float(np.dot(wf, y)),
+                  float(np.dot(wf * y, y)))
+    wx, wxx = m1 - b * m0, m2 - b * (2.0 * m1 - b * m0)
+    pref = k_L * k_L * k_L / (8.0 * math.pi) * (jac * st**-1.5)
+    return ShortPropagatorCoeffs(pref * 2.0 * (m0 - wxx), pref * (m0 + wxx),
+                                 2.0 * pref * wx)
 
 
 def coordinate_free_short_propagator(coeffs: ShortPropagatorCoeffs,

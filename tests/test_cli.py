@@ -602,6 +602,17 @@ class TestSweep:
         assert np.all(diffs < 0.0) or np.all(diffs > 0.0)
         assert max(devs) < 1e-10
 
+    def test_a1_sweep_oracle_exact_near_a0(self, tmp_path):
+        path = write_config(tmp_path, analyses=["rho-coefficients"],
+                            physics={"a0": 1.0})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep", str(path), "--param",
+                     "physics.a1", "--values", "0.9999,0.99999999"]) == 0
+        rows = read_csv_rows(out / "sweep_physics_a1.csv")
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row["rho-coefficients.max_rel_dev"]) <= 1e-12, row
+
     def test_a1_sweep_below_float_range_of_a1_cubed(self, tmp_path):
         # a1**3 underflows to 0 below a1 ~ 1e-103; the closed form has no
         # power of a1 in a denominator, so the point runs like any other.

@@ -187,6 +187,14 @@ class TestSpinFieldAndScalars:
         sf = SpinField(J=[0.0, 0.0, 2.0], rho=1.0)
         assert np.allclose(sf.j_hat, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("J", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                   [np.inf, 0.0, 0.0],
+                                   [[0.0, 0.0, 1.0], [0.0, np.nan, 0.0]]])
+    def test_j_hat_rejects_degenerate_spin(self, J):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="j_hat"):
+                SpinField(J=J, rho=1.0).j_hat
+
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
             SpinField(J=[1.0, 0.0, 0.0], rho=-1.0)

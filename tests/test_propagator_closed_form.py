@@ -1,4 +1,4 @@
-"""Property tests of the closed-form short-propagator triple against mpmath.
+"""Property tests of the short-propagator triple against mpmath.
 
 The reference integrates the three moments of (a0 + a1 x)^(-5/2) over
 [-1, 1] with mpmath's quadrature at 50 digits.  It scales a0 out first
@@ -14,7 +14,8 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from atomlight.propagator import short_propagator_closed
+from atomlight.propagator import (short_propagator_closed,
+                                  short_propagator_quadrature)
 
 EPS = 2.0**-52
 TINY = 2.0**-1074  # below the normal range an entry has fewer bits
@@ -66,6 +67,36 @@ def test_closed_form_within_8_ulps_of_mpmath(log_a0, fraction, k_L):
     assume(a1 < a0)  # the product can round up to a0
     assert_within(short_propagator_closed(a0, a1, k_L),
                   mpmath_triple(a0, a1, k_L), 8)
+
+
+# 1.0 stands for the last float below a0.
+edge_fractions = st.one_of(fractions, st.just(1.0),
+                           st.floats(-16.0, -1.0).map(lambda p: 1.0 - 10.0**p))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(log_a0=st.floats(-8.0, 8.0), fraction=edge_fractions,
+       n_points=st.sampled_from([64, 128, 257]),
+       k_L=st.sampled_from([1.0, 1.7]))
+@example(log_a0=0.0, fraction=0.0, n_points=128, k_L=1.0)
+@example(log_a0=math.log10(2.5), fraction=1e-110, n_points=128, k_L=1.7)
+@example(log_a0=0.0, fraction=1e-310, n_points=128, k_L=1.0)  # st/a1 = inf
+@example(log_a0=0.0, fraction=1.0, n_points=64, k_L=1.0)
+@example(log_a0=0.0, fraction=1.0, n_points=128, k_L=1.0)
+@example(log_a0=0.0, fraction=1.0, n_points=257, k_L=1.0)
+@example(log_a0=100.0, fraction=1.0, n_points=128, k_L=1.0)
+@example(log_a0=-100.0, fraction=1.0, n_points=128, k_L=1.7)
+@example(log_a0=-100.0, fraction=0.3, n_points=257, k_L=1.0)
+def test_quadrature_within_1e12_of_largest_entry(log_a0, fraction, n_points,
+                                                 k_L):
+    a0 = 10.0**log_a0
+    a1 = min(a0 * fraction, math.nextafter(a0, 0.0))
+    q = short_propagator_quadrature(a0, a1, k_L, n_points)
+    expect = mpmath_triple(a0, a1, k_L)
+    scale = max(abs(x) for x in expect)
+    for name, g, x in zip(("rho_par", "rho_perp", "rho_gamma"),
+                          (q.rho_par, q.rho_perp, q.rho_gamma), expect):
+        assert abs(g - x) <= 1e-12 * scale, (name, g, float(x))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
