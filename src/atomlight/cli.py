@@ -240,12 +240,8 @@ def _write_json(path: Path, provenance: dict, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Analyses: each returns (metrics_dict, rows, fieldnames) for CSV emission
+# Analyses: each returns (metrics, rows, fieldnames), a row a tuple of cells
 # ---------------------------------------------------------------------------
-
-def _pick(row: dict, *keys) -> dict:
-    return {k: row[k] for k in keys}
-
 
 def _reads(*paths):
     """Declare the dotted config paths an analysis reads.
@@ -259,37 +255,48 @@ def _reads(*paths):
     split = [path.rpartition(".")[::2] for path in paths]
 
     def decorate(analysis):
+        name = analysis.__name__
+
         @functools.wraps(analysis)
         def runner(cfg: dict, memo: dict):
-            name = analysis.__name__
-            if name not in memo:
+            result = memo.get(name)
+            if result is None:
                 inputs = {}
                 for section, field in split:
                     node = inputs.setdefault(section, {}) if section else inputs
                     node[field] = (cfg[section] if section else cfg)[field]
-                memo[name] = analysis(inputs)
-            return memo[name]
+                result = memo[name] = analysis(inputs)
+            return result
         runner.reads = paths
         return runner
     return decorate
 
 
+# The CSV columns of each analysis, in the order of the cells of its rows.
 _RHO_COLUMNS = ("a0", "a1", "rho_par_closed", "rho_perp_closed",
                 "rho_gamma_closed", "rho_par_quad", "rho_perp_quad",
                 "rho_gamma_quad", "max_rel_dev")
+_STOKES_COLUMNS = ("phi", "s1_in", "s2_in", "s3_in",
+                   "s1_out", "s2_out", "s3_out")
+_MEMORY_COLUMNS = ("kappa", "var_XA_out", "var_XA_expected",
+                   "var_PA_conditioned", "symplectic_residual", "gain")
+_POINTGAS_COLUMNS = ("dk_x", "dk_y", "dk_z", "n_atoms", "n_clouds",
+                     "raw_mean", "raw_sem", "corrected_mean", "corrected_sem",
+                     "self_term")
+_REGIME_COLUMNS = ("group", "name", "value", "threshold", "passed", "margin")
 
 
 @_reads("physics.a0", "physics.a1")
 def _analysis_rho(cfg: dict):
     ph = cfg["physics"]
     a0, a1 = float(ph["a0"]), float(ph["a1"])
-    closed = short_propagator_closed(a0, a1, 1.0)
-    quad = short_propagator_quadrature(a0, a1, 1.0)
-    scale = max(*map(abs, closed), 1e-300)
-    dev = max(abs(x - y) / scale for x, y in zip(closed, quad))
-    row = dict(zip(_RHO_COLUMNS, (a0, a1, *closed, *quad, dev)))
-    return ({"max_rel_dev": dev, "rho_gamma_closed": closed.rho_gamma},
-            [row], _RHO_COLUMNS)
+    c0, c1, c2 = short_propagator_closed(a0, a1, 1.0)
+    q0, q1, q2 = short_propagator_quadrature(a0, a1, 1.0)
+    # Rounding is monotone, so this is max(|c - q| / scale) bit for bit.
+    dev = max(abs(c0 - q0), abs(c1 - q1), abs(c2 - q2)) \
+        / max(abs(c0), abs(c1), abs(c2), 1e-300)
+    return ({"max_rel_dev": dev, "rho_gamma_closed": c2},
+            [(a0, a1, c0, c1, c2, q0, q1, q2, dev)], _RHO_COLUMNS)
 
 
 @_reads("physics.c1", "physics.beta", "physics.column_rho_jz",
@@ -299,11 +306,9 @@ def _analysis_stokes(cfg: dict):
     phi = float(ph["c1"]) * float(ph["beta"]) * float(ph["column_rho_jz"]) \
         * float(cfg["modes"]["k"])
     s_in = tuple(float(v) for v in ph["stokes_in"])
-    s_out = paraxial_stokes_map(s_in, phi)
-    row = {"phi": phi, **{f"s{i}_in": v for i, v in enumerate(s_in, 1)},
-           **{f"s{i}_out": v for i, v in enumerate(s_out, 1)}}
-    return (_pick(row, "phi", "s1_out", "s2_out", "s3_out"), [row],
-            list(row))
+    s1, s2, s3 = paraxial_stokes_map(s_in, phi)
+    return ({"phi": phi, "s1_out": s1, "s2_out": s2, "s3_out": s3},
+            [(phi, *s_in, s1, s2, s3)], _STOKES_COLUMNS)
 
 
 @_reads("scenario.kappa", "physics.gain")
@@ -319,12 +324,11 @@ def _analysis_memory(cfg: dict):
         gain = -1.0 / kappa if kappa != 0 else 0.0
     result = memory_protocol(vac, kappa, float(gain), outcome=0.0)
     var_pa_cond = result.state.variance(ordering.P_A(0))
-    row = {"kappa": kappa, "var_XA_out": var_xa,
-           "var_XA_expected": 0.5 + 0.5 * kappa**2,
-           "var_PA_conditioned": var_pa_cond,
-           "symplectic_residual": sym_res, "gain": float(gain)}
-    return (_pick(row, "kappa", "var_XA_out", "var_PA_conditioned",
-                  "symplectic_residual"), [row], list(row))
+    return ({"kappa": kappa, "var_XA_out": var_xa,
+             "var_PA_conditioned": var_pa_cond,
+             "symplectic_residual": sym_res},
+            [(kappa, var_xa, 0.5 + 0.5 * kappa**2, var_pa_cond, sym_res,
+              float(gain))], _MEMORY_COLUMNS)
 
 
 @_reads("seed", "pointgas")
@@ -333,13 +337,11 @@ def _analysis_pointgas(cfg: dict):
     est = density_correlation(pg["n_atoms"], pg["profile"], float(pg["size"]),
                               stream_keys(cfg["seed"], pg["n_clouds"]),
                               pg["delta_k"])
-    stats = ("raw_mean", "raw_sem", "corrected_mean", "corrected_sem",
-             "self_term")
-    row = {**dict(zip(("dk_x", "dk_y", "dk_z"), est.delta_k)),
-           "n_atoms": est.n_atoms, "n_clouds": est.n_batches,
-           **{k: getattr(est, k) for k in stats}}
-    return (_pick(row, "raw_mean", "raw_sem", "corrected_mean"), [row],
-            list(row))
+    return ({"raw_mean": est.raw_mean, "raw_sem": est.raw_sem,
+             "corrected_mean": est.corrected_mean},
+            [(*est.delta_k, est.n_atoms, est.n_batches, est.raw_mean,
+              est.raw_sem, est.corrected_mean, est.corrected_sem,
+              est.self_term)], _POINTGAS_COLUMNS)
 
 
 @_reads("scenario", "modes.max_order")
@@ -349,9 +351,7 @@ def _analysis_regime(cfg: dict):
     spin = check_spin_series(sc)
     F = fresnel_number(sc.wavelength, sc.transverse_size, sc.length)
     fres = check_fresnel_basis(F, cfg["modes"]["max_order"])
-    rows = [{"group": group, "name": c.name, "value": c.value,
-             "threshold": c.threshold, "passed": int(c.passed),
-             "margin": c.margin}
+    rows = [(group, c.name, c.value, c.threshold, int(c.passed), c.margin)
             for group, report in (("light", light.checks),
                                   ("spin", spin.checks), ("fresnel", fres))
             for c in report]
@@ -359,7 +359,7 @@ def _analysis_regime(cfg: dict):
                "spin_passed": int(spin.passed),
                "fresnel_passed": int(all(c.passed for c in fres)),
                "fresnel_number": F}
-    return metrics, rows, list(rows[0])
+    return metrics, rows, _REGIME_COLUMNS
 
 
 _RUNNERS = {
@@ -393,7 +393,7 @@ def run(cfg: dict, out_dir) -> dict:
     for name in cfg["analyses"]:
         metrics, rows, fieldnames = _analyse(name, cfg, memo)
         _write_csv(out / f"{name}.csv", provenance, fieldnames,
-                   ([_fmt(row[k]) for k in fieldnames] for row in rows))
+                   ([_fmt(v) for v in row] for row in rows))
         summary["analyses"][name] = metrics
     _write_json(out / "summary.json", provenance, summary)
     return summary

@@ -47,8 +47,10 @@ class ShortPropagatorCoeffs(NamedTuple):
 
 
 def _check_domain(a0: float, a1: float, k_L: float) -> None:
-    if not (0 <= a1 < a0 < math.inf and 0 < k_L
-            and math.isfinite(k_L * k_L * k_L)):
+    # Compared with DBL_MAX, not converted: an int beyond float range fails
+    # here instead of raising OverflowError.
+    big = sys.float_info.max
+    if not (0 <= a1 < a0 <= big and 0 < k_L and k_L * k_L * k_L <= big):
         raise OutsideDomain("need 0 <= a1 < a0 < inf and k_L > 0 with a "
                             f"finite k_L**3, got {a0}, {a1}, {k_L}")
 

@@ -819,6 +819,51 @@ class TestFieldRules:
         assert list(cli._FIELDS) == fields
 
 
+def rho_fractions():
+    """a1/a0 from 0 to the last float below 1: edges, interior, random."""
+    rng = np.random.default_rng(19)
+    return [0.0, 5e-324, 1e-310, 1e-300, 1e-110, 1e-7, 1e-3, 0.1, 0.3, 0.5,
+            0.9, 1 - 1e-4, 1 - 1e-8, 1 - 1e-12, np.nextafter(1.0, 0.0),
+            *rng.uniform(0.0, 1.0, 100), *10.0**rng.uniform(-16, 0, 50),
+            *(1 - 10.0**rng.uniform(-16, 0, 50))]
+
+
+class TestAnalysisRows:
+    """Every analysis returns tuple rows in its fieldnames' order."""
+
+    @pytest.mark.parametrize("a0", [1.0, 2.5, 1e-3, 7e4])
+    def test_max_rel_dev_is_largest_per_entry_quotient(self, a0):
+        for fraction in rho_fractions():
+            a1 = min(float(fraction) * a0, float(np.nextafter(a0, 0.0)))
+            cfg = {"physics": {"a0": a0, "a1": a1}}
+            metrics = _analyse("rho-coefficients", cfg, {})[0]
+            closed = propagator.short_propagator_closed(a0, a1, 1.0)
+            quad = propagator.short_propagator_quadrature(a0, a1, 1.0)
+            scale = max(*map(abs, closed), 1e-300)
+            expected = max(abs(x - y) / scale for x, y in zip(closed, quad))
+            assert float(metrics["max_rel_dev"]).hex() \
+                == float(expected).hex(), (a0, a1)
+
+    @pytest.mark.parametrize("name", ANALYSES)
+    def test_rows_are_tuples_of_fieldnames_length(self, tmp_path, name):
+        _, rows, fieldnames = _analyse(name, full_config(tmp_path), {})
+        assert rows
+        for row in rows:
+            assert isinstance(row, tuple) and len(row) == len(fieldnames)
+
+    def test_run_writes_one_cell_per_column(self, tmp_path):
+        cfg = full_config(tmp_path)
+        cli.run(cfg, tmp_path / "out")
+        for name in ANALYSES:
+            _, rows, fieldnames = _analyse(name, cfg, {})
+            with open(tmp_path / "out" / f"{name}.csv", newline="") as fh:
+                header, *lines = csv.reader(
+                    line for line in fh if not line.startswith("#"))
+            assert header == list(fieldnames), name
+            assert len(lines) == len(rows), name
+            assert all(len(line) == len(header) for line in lines), name
+
+
 def run_python(*args):
     """A fresh interpreter that imports this atomlight, run with args."""
     src = str(Path(atomlight.__file__).resolve().parents[1])

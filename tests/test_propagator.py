@@ -70,12 +70,27 @@ class TestShortPropagator:
             coeffs(a0, a1, 1.0)
 
     @pytest.mark.parametrize("k_L", [np.nan, np.inf, -np.inf, 0.0, -2.0,
-                                     6e102, 1e103])
+                                     6e102, 1e103,
+                                     pytest.param(10**200, id="10**200"),
+                                     pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("coeffs", [short_propagator_closed,
                                         short_propagator_quadrature])
     def test_bad_wavenumber_outside_domain(self, coeffs, k_L):
         with pytest.raises(OutsideDomain):
             coeffs(1.0, 0.3, k_L)
+
+    @pytest.mark.parametrize("a0", [pytest.param(10**400, id="10**400"),
+                                    pytest.param(2**1024, id="2**1024")])
+    @pytest.mark.parametrize("coeffs", [short_propagator_closed,
+                                        short_propagator_quadrature])
+    def test_int_a0_beyond_float_range_outside_domain(self, coeffs, a0):
+        with pytest.raises(OutsideDomain):
+            coeffs(a0, 0.3, 1.0)
+
+    @pytest.mark.parametrize("coeffs", [short_propagator_closed,
+                                        short_propagator_quadrature])
+    def test_int_arguments_match_floats(self, coeffs):
+        assert coeffs(2, 1, 3) == coeffs(2.0, 1.0, 3.0)
 
     @pytest.mark.parametrize("coeffs", [short_propagator_closed,
                                         short_propagator_quadrature])
