@@ -15,8 +15,7 @@ from atomlight.medium import PhysicalParams
 
 
 def main():
-    params = PhysicalParams(gamma=3.0e7, delta=1.0e9,
-                            k_L=2.0 * np.pi / 852e-9, omega_L=2.21e15)
+    params = PhysicalParams(gamma=3.0e7, delta=1.0e9, k_L=2.0 * np.pi / 852e-9)
     beta, k_L = params.beta, params.k_L
     moments = {"Jx2": 0.25, "Jy2": 0.25, "Jz2": 0.25, "J4": 0.5625}
     s_in = (1.0, 0.0, 0.0)

@@ -99,8 +99,7 @@ def _is_finite_number(value) -> bool:
     """A float or an int that is finite as a float; bools are not numbers."""
     if isinstance(value, float):
         return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and _is_finite(value)
+    return isinstance(value, int) and _is_finite(value)
 
 
 def _integer(low: int, high: int):
@@ -186,8 +185,8 @@ def load_config(path) -> dict:
                             f"{exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigInvalid(f"config is not UTF-8: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # also an int literal over 4300 digits
+        raise ConfigInvalid(f"config cannot be read as JSON: {exc}") from exc
     _check_keys("", raw, {*_DEFAULTS, "scenario"})
     cfg = {}
     for key, default in _DEFAULTS.items():

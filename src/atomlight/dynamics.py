@@ -83,8 +83,8 @@ class GaussianState:
         O = symplectic_form(self.ordering)
         return np.linalg.eigvalsh(self.cov.astype(complex) + 0.5j * O)
 
-    def is_physical(self, tol: float = 1e-10) -> bool:
-        return bool(np.min(self.uncertainty_eigenvalues()) >= -tol)
+    def is_physical(self) -> bool:
+        return bool(np.min(self.uncertainty_eigenvalues()) >= -1e-10)
 
     def variance(self, idx: int) -> float:
         return float(self.cov[idx, idx])
@@ -161,17 +161,17 @@ def multimode_spin_increment(Psi_no_at_r: np.ndarray, X: np.ndarray,
 # Collective quadratures and the kappa map
 # ---------------------------------------------------------------------------
 
-def check_uniform_classical_mode(U_values, tol: float = UNIFORMITY_TOL) -> float:
-    """Relative spread of |U_o| over the sample; raises above tol (1%)."""
+def check_uniform_classical_mode(U_values) -> float:
+    """Relative spread of |U_o| over the sample; raises above 1%."""
     mags = np.abs(np.asarray(U_values, dtype=complex))
     peak = float(np.max(mags))
     if peak == 0.0:
         raise NonUniformClassicalMode("classical mode vanishes on the sample")
     spread = float((np.max(mags) - np.min(mags)) / peak)
-    if spread > tol:
+    if spread > UNIFORMITY_TOL:
         raise NonUniformClassicalMode(
             f"classical mode varies by {spread:.1%} over the sample "
-            f"(limit {tol:.0%})")
+            f"(limit {UNIFORMITY_TOL:.0%})")
     return spread
 
 
@@ -210,16 +210,15 @@ def kappa_coupling(k_L: float, beta: float, c1: float, U_o: float,
     return k_L * beta * c1 * U_o * np.sqrt(n_photons * rho * J_x * L / 2.0)
 
 
-def collective_map_matrix(ordering: QuadratureOrdering, kappa: float,
-                          light_mode: int = 0, atom_mode: int = 0) -> np.ndarray:
-    """Symplectic matrix of the passive QND exchange.
+def collective_map_matrix(ordering: QuadratureOrdering, kappa: float) -> np.ndarray:
+    """Symplectic matrix of the passive QND exchange on modes 0.
 
     X_P' = X_P + kappa * P_A,  X_A' = X_A + kappa * P_P,
     momenta unchanged.
     """
     S = np.eye(ordering.dim)
-    S[ordering.X_P(light_mode), ordering.P_A(atom_mode)] = kappa
-    S[ordering.X_A(atom_mode), ordering.P_P(light_mode)] = kappa
+    S[ordering.X_P(), ordering.P_A()] = kappa
+    S[ordering.X_A(), ordering.P_P()] = kappa
     return S
 
 
@@ -229,16 +228,13 @@ def symplectic_residual(S: np.ndarray, ordering: QuadratureOrdering) -> float:
     return float(np.max(np.abs(S @ O @ S.T - O)))
 
 
-def is_symplectic(S: np.ndarray, ordering: QuadratureOrdering,
-                  tol: float = 1e-12) -> bool:
-    return symplectic_residual(S, ordering) <= tol
+def is_symplectic(S: np.ndarray, ordering: QuadratureOrdering) -> bool:
+    return symplectic_residual(S, ordering) <= 1e-12
 
 
-def apply_collective_map(state: GaussianState, kappa: float,
-                         light_mode: int = 0,
-                         atom_mode: int = 0) -> GaussianState:
+def apply_collective_map(state: GaussianState, kappa: float) -> GaussianState:
     """Apply the kappa map to a Gaussian state."""
-    S = collective_map_matrix(state.ordering, kappa, light_mode, atom_mode)
+    S = collective_map_matrix(state.ordering, kappa)
     return GaussianState(state.ordering, S @ state.mean, S @ state.cov @ S.T)
 
 
@@ -263,8 +259,6 @@ def condition_on_quadrature(state: GaussianState, idx: int,
 class MemoryResult:
     state: GaussianState
     outcome: float
-    kappa: float
-    gain: float
 
 
 def memory_protocol(state: GaussianState, kappa: float, gain: float,
@@ -289,8 +283,7 @@ def memory_protocol(state: GaussianState, kappa: float, gain: float,
     mean = cond.mean.copy()
     mean[cond.ordering.P_A(0)] += gain * outcome
     final = GaussianState(cond.ordering, mean, cond.cov)
-    return MemoryResult(state=final, outcome=float(outcome),
-                        kappa=kappa, gain=gain)
+    return MemoryResult(state=final, outcome=float(outcome))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +335,14 @@ def spontaneous_spin_correction(J, stokes, c1: float, beta: float,
 # Beyond-paraxial maps in local polarization frames
 # ---------------------------------------------------------------------------
 
-def validate_frame(e_x, e_y, e_z, tol: float = FRAME_TOL) -> None:
+def validate_frame(e_x, e_y, e_z) -> None:
     """Require a right-handed orthonormal triad (e_x, e_y, e_z)."""
     E = np.stack([np.asarray(e_x, dtype=float),
                   np.asarray(e_y, dtype=float),
                   np.asarray(e_z, dtype=float)])
-    if np.max(np.abs(E @ E.T - np.eye(3))) > tol:
+    if np.max(np.abs(E @ E.T - np.eye(3))) > FRAME_TOL:
         raise FrameNotOrthonormal("triad is not orthonormal")
-    if np.max(np.abs(np.cross(E[0], E[1]) - E[2])) > tol:
+    if np.max(np.abs(np.cross(E[0], E[1]) - E[2])) > FRAME_TOL:
         raise FrameNotOrthonormal("triad is not right-handed")
 
 

@@ -27,14 +27,12 @@ class PhysicalParams:
 
     gamma   -- excited-state linewidth (rad/s)
     delta   -- detuning of the laser from the transition (rad/s)
-    k_L     -- laser wavenumber (1/m)
-    omega_L -- laser angular frequency (rad/s)
+    k_L     -- laser wavenumber (1/m); the laser frequency is c k_L
     """
 
     gamma: float
     delta: float
     k_L: float
-    omega_L: float
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -134,12 +132,11 @@ def build_interaction_matrix(coeffs: InteractionCoefficients, J,
 
 
 def decompose_interaction(V: np.ndarray, J, beta: float,
-                          J_sq: float | None = None,
-                          rtol: float = 1e-9) -> tuple[float, float, float]:
+                          J_sq: float | None = None) -> tuple[float, float, float]:
     """Fit (c0, c1, c2) such that build_interaction_matrix reproduces V.
 
     Linear least squares over the 3-parameter family; raises
-    NonDecomposable when the residual exceeds rtol * ||V||.
+    NonDecomposable when the residual exceeds 1e-9 * ||V||.
     """
     V = np.asarray(V, dtype=complex)
     J = np.asarray(J, dtype=float)
@@ -156,9 +153,9 @@ def decompose_interaction(V: np.ndarray, J, beta: float,
     coef, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
     resid = np.linalg.norm(A @ coef - b)
     norm = np.linalg.norm(V)
-    if norm > 0 and resid * abs(beta) > rtol * norm:
+    if norm > 0 and resid * abs(beta) > 1e-9 * norm:
         raise NonDecomposable(
-            f"residual {resid * abs(beta):.3e} exceeds {rtol:.1e} * ||V||")
+            f"residual {resid * abs(beta):.3e} exceeds 1.0e-09 * ||V||")
     c0, c1, c2 = (float(c) for c in coef)
     return c0, c1, c2
 

@@ -104,16 +104,14 @@ def dressed_modes(k_hat, j_hat, a0: float, a1: float, k: float = 1.0,
     v1 = v1 / n1
     v2 = np.cross(k_hat, v1)
 
-    M = medium_matrix(a0, a1, j_hat)
     branches = []
     for s in (+1, -1):
-        eps = (v1 + 1j * s * v2).astype(complex)
-        raw = medium_inner(eps, eps, M).real
-        eps = eps / np.sqrt(raw)
-        omega2 = k * k * (a0 + s * a1 * jk)
-        norm = 1.0 / np.sqrt(2.0 * (a0 + s * a1 * jk))
-        branches.append(DressedPlaneWave(k_hat=k_hat, s=s, polarization=eps,
-                                         omega2=omega2, norm=norm))
+        w = a0 + s * a1 * jk
+        # conj(eps) M eps = 2 w for eps = v1 + i s v2 and M = medium_matrix
+        norm = 1.0 / np.sqrt(2.0 * w)
+        branches.append(DressedPlaneWave(
+            k_hat=k_hat, s=s, polarization=(v1 + 1j * s * v2) * norm,
+            omega2=k * k * w, norm=norm))
     return branches[0], branches[1]
 
 

@@ -399,11 +399,11 @@ def spin_half_self_product(J_bar) -> np.ndarray:
     return C
 
 
-def spin_correlation_check(J_bar, tol: float = 1e-12) -> dict:
+def spin_correlation_check(J_bar) -> dict:
     """Internal consistency of the spin-1/2 self products.
 
     Checks hermiticity, the fixed trace 3/4, and that the antisymmetric
-    part reproduces (i/2) J_bar.  Returns the residuals.
+    part reproduces (i/2) J_bar, each to 1e-12.  Returns the residuals.
     """
     C = spin_half_self_product(J_bar)
     herm = float(np.max(np.abs(C - C.conj().T)))
@@ -413,6 +413,6 @@ def spin_correlation_check(J_bar, tol: float = 1e-12) -> dict:
     vec = float(np.max(np.abs(recovered - np.asarray(J_bar, dtype=complex))))
     result = {"hermiticity": herm, "trace": float(trace), "vector": vec}
     for key, val in result.items():
-        if val > tol:
+        if val > 1e-12:
             raise AssertionError(f"spin self-product check failed: {key}={val}")
     return result

@@ -55,6 +55,14 @@ def _check_domain(a0: float, a1: float, k_L: float) -> None:
                             f"finite k_L**3, got {a0}, {a1}, {k_L}")
 
 
+def _finite(triple: ShortPropagatorCoeffs, a0, a1, k_L) -> ShortPropagatorCoeffs:
+    """The triple, or OutsideDomain if an entry is inf or NaN."""
+    if math.isfinite(triple[0]) and math.isfinite(triple[1]) \
+            and math.isfinite(triple[2]):
+        return triple
+    raise OutsideDomain(f"triple not finite at a0={a0}, a1={a1}, k_L={k_L}")
+
+
 def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagatorCoeffs:
     """Closed-form short-propagator coefficients for 0 <= a1 < a0.
 
@@ -64,15 +72,21 @@ def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagator
     rho_perp = c (q^2 + 3 q - 2), rho_gamma = -2 c (a1/(s t)) (q + 3).
     (s + t)^2 = 2 (a0 + s t) and s t = sqrt((a0 - a1)(a0 + a1)) make
     s t = a0 and q = 2 at a1 = 0, so rho_perp == rho_par there, and
-    0.0 - x (not -x) keeps rho_gamma at +0.0.
+    0.0 - x (not -x) keeps rho_gamma at +0.0.  Raises OutsideDomain
+    where an entry overflows or the denominator is subnormal (a0 below
+    about 1.5e-124 at a1 = 0), which would cost it its 8-ulp accuracy.
     """
     _check_domain(a0, a1, k_L)
     s, t = math.sqrt(a0 - a1), math.sqrt(a0 + a1)
     st = math.sqrt((a0 - a1) * (a0 + a1))
     q = s / t + t / s
-    c = k_L * k_L * k_L / (3.0 * math.pi * (s + t) * (2.0 * (a0 + st)) * st)
-    return ShortPropagatorCoeffs(8.0 * c, c * (q * (q + 3.0) - 2.0),
-                                 0.0 - 2.0 * c * (a1 / st) * (q + 3.0))
+    d = 3.0 * math.pi * (s + t) * (2.0 * (a0 + st)) * st
+    if d < sys.float_info.min:  # zero or subnormal: its bits are lost
+        raise OutsideDomain(f"subnormal denominator at a0={a0}, a1={a1}")
+    c = k_L * k_L * k_L / d
+    return _finite(ShortPropagatorCoeffs(
+        8.0 * c, c * (q * (q + 3.0) - 2.0),
+        0.0 - 2.0 * c * (a1 / st) * (q + 3.0)), a0, a1, k_L)
 
 
 @functools.cache
@@ -93,6 +107,7 @@ def short_propagator_quadrature(a0: float, a1: float, k_L: float,
     entry is within 1.6e-13 of the largest entry of a 50-digit mpmath
     triple on 0 <= a1 < a0 at 128 nodes (4.2e-13 at 257).  The rule is
     built once per n_points per process; n_points=128.0 raises TypeError.
+    Raises OutsideDomain where an entry or the prefactor overflows.
     """
     if n_points < 64:
         raise ValueError("n_points must be at least 64")
@@ -108,9 +123,13 @@ def short_propagator_quadrature(a0: float, a1: float, k_L: float,
     m0, m1, m2 = (float(np.dot(W, e)), float(np.dot(wf, y)),
                   float(np.dot(wf * y, y)))
     wx, wxx = m1 - b * m0, m2 - b * (2.0 * m1 - b * m0)
-    pref = k_L * k_L * k_L / (8.0 * math.pi) * (jac * st**-1.5)
-    return ShortPropagatorCoeffs(pref * 2.0 * (m0 - wxx), pref * (m0 + wxx),
-                                 2.0 * pref * wx)
+    try:  # float ** raises OverflowError where * gives inf
+        pref = k_L * k_L * k_L / (8.0 * math.pi) * (jac * st**-1.5)
+    except OverflowError:
+        pref = math.inf
+    return _finite(ShortPropagatorCoeffs(
+        pref * 2.0 * (m0 - wxx), pref * (m0 + wxx), 2.0 * pref * wx),
+        a0, a1, k_L)
 
 
 def coordinate_free_short_propagator(coeffs: ShortPropagatorCoeffs,

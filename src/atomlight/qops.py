@@ -42,8 +42,6 @@ import numpy as np
 from .errors import BasisMismatch, MixedWavenumbers
 from .modes import TransverseGrid, hermite_gauss_eval
 
-HERMITICITY_TOL = 1e-13
-
 POLS = ("x", "y")
 
 XI = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -85,8 +83,8 @@ class QuadraticOperator:
         if c.shape != (self.basis.dim, self.basis.dim):
             raise ValueError("coefficient matrix does not match basis dim")
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.coeff - self.coeff.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.coeff - self.coeff.conj().T)) <= 1e-13)
 
     def __add__(self, other: "QuadraticOperator") -> "QuadraticOperator":
         if other.basis != self.basis:
@@ -109,9 +107,6 @@ class QuadraticOperator:
         """Expectation in a product Fock state with the given occupations."""
         occ = np.asarray(occupations, dtype=float)
         return float(np.real(np.sum(np.diag(self.coeff) * occ)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeff))
 
 
 def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
@@ -199,7 +194,6 @@ class SpinTermResult:
     basis: PolarizedModeBasis
     value: np.ndarray       # shape (3, dim, dim)
     order: int
-    label: str = ""
 
 
 def _kron(a, b, c, d) -> np.ndarray:
@@ -309,32 +303,32 @@ def spin_first_order(basis: PolarizedModeBasis, Psi_at_r: np.ndarray,
     total[:, 1, :, 0] = 0.5j * Psi_at_r.conj().T
     total = total.reshape(basis.dim, basis.dim)
     value = -beta * c1 * k_L * direction[:, None, None] * total[None, :, :]
-    return SpinTermResult(basis=basis, value=value, order=1, label="J1")
+    return SpinTermResult(basis=basis, value=value, order=1)
 
 
 def spin_second_order_A_single_mode(basis: PolarizedModeBasis,
                                     Psi_r: np.ndarray, Psi_rp: np.ndarray,
                                     J_at_r, Jz_local_rp: float, rho_rp: float,
                                     k_L: float, beta: float, c1: float,
-                                    o: int = 0,
                                     e_z=(0.0, 0.0, 1.0)) -> SpinTermResult:
     """Single-classical-mode reduction of the dipole-dipole spin term.
 
-    Retains the Im[Psi^{mo}(r) Psi^{om}(r')] weights summed over the
-    intermediate mode m; vanishes identically when all Psi are real.
+    Retains the Im[Psi^{mo}(r) Psi^{om}(r')] weights of the classical
+    mode o = 0 summed over the intermediate mode m; vanishes identically
+    when all Psi are real.
     """
     Psi_r = np.asarray(Psi_r, dtype=complex)
     Psi_rp = np.asarray(Psi_rp, dtype=complex)
     direction = np.cross(np.asarray(J_at_r, dtype=float),
                          np.asarray(e_z, dtype=float))
     # sum_m Im[Psi^{mo}(r) Psi^{om}(r')]
-    weight = float(np.sum(np.imag(Psi_r[:, o] * Psi_rp[o, :])))
+    weight = float(np.sum(np.imag(Psi_r[:, 0] * Psi_rp[0, :])))
     coeff = np.zeros((basis.dim, basis.dim), dtype=complex)
-    p = [basis.index(o, pol) for pol in POLS]
+    p = [basis.index(0, pol) for pol in POLS]
     coeff[p, p] = 1.0
     pref = (0.5 * beta * c1 * k_L)**2 * rho_rp * Jz_local_rp * weight
     value = pref * direction[:, None, None] * coeff[None, :, :]
-    return SpinTermResult(basis=basis, value=value, order=2, label="J2_A")
+    return SpinTermResult(basis=basis, value=value, order=2)
 
 
 def spin_second_order_B(basis: PolarizedModeBasis, Psi_products: np.ndarray,

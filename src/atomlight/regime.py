@@ -54,22 +54,22 @@ class Scenario:
                      "length", "transverse_size", "linewidth"):
             value = getattr(self, name)
             if not (_is_finite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        if self.detuning == 0:
-            raise ValueError("detuning must be nonzero")
+                raise ValueError(f"{name} must be a finite number > 0")
         for name in ("kappa", "detuning"):
             if not _is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name} must be a finite number")
+        if self.detuning == 0:
+            raise ValueError("detuning must be nonzero")
         d = self.density
-        if d is not None and (isinstance(d, bool)
-                              or not isinstance(d, numbers.Real)
-                              or not _is_finite(d) or not d > 0):
+        if d is not None and not (_is_finite(d) and d > 0):
             raise ValueError(
                 f"density must be None or a finite number > 0: {d!r}")
 
 
 def _is_finite(x) -> bool:
-    """math.isfinite, False for an int too large for a float."""
+    """A finite real number, not a bool or an int too big for a float."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
     try:
         return math.isfinite(x)
     except OverflowError:
@@ -91,7 +91,6 @@ class RegimeCheck:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    scenario: Scenario
     checks: tuple
 
     @property
@@ -128,7 +127,7 @@ def check_light_series(sc: Scenario) -> RegimeReport:
                sc.kappa**2 / sc.optical_depth * sc.n_atoms / sc.n_photons),
     ]
     checks += _od_consistency(sc)
-    return RegimeReport(scenario=sc, checks=tuple(checks))
+    return RegimeReport(checks=tuple(checks))
 
 
 def check_spin_series(sc: Scenario) -> RegimeReport:
@@ -149,7 +148,7 @@ def check_spin_series(sc: Scenario) -> RegimeReport:
                * math.sqrt(sc.wavelength / (sc.length * od))),
     ]
     checks += _od_consistency(sc)
-    return RegimeReport(scenario=sc, checks=tuple(checks))
+    return RegimeReport(checks=tuple(checks))
 
 
 def _od_consistency(sc: Scenario) -> list:

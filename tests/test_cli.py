@@ -267,6 +267,18 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("name", ["kappa", "n_atoms", "detuning"])
+    def test_bool_scenario_value_rejected(self, tmp_path, name):
+        path = write_config(tmp_path, analyses=["regime"],
+                            scenario={**BASE_CONFIG["scenario"],
+                                      name: True})
+        with pytest.raises(ConfigInvalid, match=name):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+
+
 class TestUnreadableInput:
     """Input that is not a config or a number list exits 2, writing nothing."""
 
@@ -289,6 +301,15 @@ class TestUnreadableInput:
             if command == "sweep" else []
         assert main(["--out", str(out), command, str(tmp_path)] + extra) == 2
         assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_literal_beyond_conversion_limit(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"analyses": ["stokes-map"], "physics": {"c1": 1'
+                        + "0" * 5000 + "}}")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert "config cannot be read as JSON" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("data", [b"\xff\xfe{", b'{"seed": "\xe9"}'])
@@ -424,6 +445,16 @@ class TestRun:
             if started:
                 tracemalloc.stop()
         assert peak < batch_bytes / 4
+
+
+    @pytest.mark.parametrize("a0", [1e-125, 1e-200])
+    def test_unrepresentable_triple_exits_3(self, tmp_path, capsys, a0):
+        path = write_config(tmp_path, analyses=["rho-coefficients"],
+                            physics={"a0": a0, "a1": 0.0})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 3
+        assert "analysis error" in capsys.readouterr().err
+        assert not (out / "rho-coefficients.csv").exists()
 
 
 class TestSweep:

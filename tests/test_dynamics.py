@@ -271,3 +271,33 @@ class TestBeyondParaxial:
                                             50.0, 2.0, 0.01, 0.8)
         eJ = multimode_spin_increment(Psi, X, P, J, 50.0, 2.0, 0.01, 0.8)
         assert np.max(np.abs(dJ - eJ)) < 1e-13
+
+
+class TestFixedSettings:
+    """Tolerances and the kappa map's modes are constants, not options."""
+
+    @pytest.mark.parametrize("call, kwargs", [
+        (GaussianState.vacuum(ORD).is_physical, {"tol": 1.0}),
+        (lambda **kw: check_uniform_classical_mode([1.0, 0.5], **kw),
+         {"tol": 1.0}),
+        (lambda **kw: validate_frame([1, 0, 0], [0, 1, 0], [0, 0, 1], **kw),
+         {"tol": 1.0}),
+        (lambda **kw: is_symplectic(np.eye(ORD.dim), ORD, **kw),
+         {"tol": 1.0}),
+        (lambda **kw: collective_map_matrix(ORD, 0.5, **kw),
+         {"light_mode": 0}),
+        (lambda **kw: collective_map_matrix(ORD, 0.5, **kw),
+         {"atom_mode": 0}),
+        (lambda **kw: apply_collective_map(GaussianState.vacuum(ORD), 0.5,
+                                           **kw), {"light_mode": 0}),
+        (lambda **kw: apply_collective_map(GaussianState.vacuum(ORD), 0.5,
+                                           **kw), {"atom_mode": 0}),
+    ])
+    def test_removed_option_raises_type_error(self, call, kwargs):
+        with pytest.raises(TypeError):
+            call(**kwargs)
+
+    def test_memory_result_holds_state_and_outcome(self):
+        res = memory_protocol(GaussianState.vacuum(ORD), 0.5, -2.0,
+                              outcome=0.0)
+        assert list(vars(res)) == ["state", "outcome"]

@@ -20,22 +20,22 @@ def coeffs(beta=1.0, c0=0.0, c1=0.0, c2=0.0):
 
 class TestPhysicalParams:
     def test_beta_formula(self):
-        p = PhysicalParams(gamma=3.0e7, delta=1.0e9, k_L=7.4e6, omega_L=2.2e15)
+        p = PhysicalParams(gamma=3.0e7, delta=1.0e9, k_L=7.4e6)
         assert p.beta == pytest.approx(
             np.pi * 3.0e7 / (2.0 * 1.0e9 * 7.4e6**3), rel=1e-15)
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            PhysicalParams(gamma=-1.0, delta=1.0, k_L=1.0, omega_L=1.0)
+            PhysicalParams(gamma=-1.0, delta=1.0, k_L=1.0)
         with pytest.raises(ValueError):
-            PhysicalParams(gamma=1.0, delta=0.0, k_L=1.0, omega_L=1.0)
+            PhysicalParams(gamma=1.0, delta=0.0, k_L=1.0)
 
     @pytest.mark.parametrize("field, value", [
         ("gamma", float("nan")), ("k_L", float("nan")),
         ("delta", float("nan")), ("delta", float("inf")),
         ("delta", float("-inf"))])
     def test_non_finite_rejected(self, field, value):
-        params = dict(gamma=1.0, delta=1.0, k_L=1.0, omega_L=1.0)
+        params = dict(gamma=1.0, delta=1.0, k_L=1.0)
         params[field] = value
         with pytest.raises(ValueError, match=field):
             PhysicalParams(**params)
@@ -209,3 +209,13 @@ class TestSpinFieldAndScalars:
     def test_scalars_domain(self):
         with pytest.raises(ValueError):
             MediumScalars(a0=0.3, a1=0.4)
+
+
+class TestRemovedSurface:
+    def test_physical_params_has_no_omega_l(self):
+        with pytest.raises(TypeError):
+            PhysicalParams(gamma=1.0, delta=1.0, k_L=1.0, omega_L=1.0)
+
+    def test_decompose_takes_no_tolerance(self):
+        with pytest.raises(TypeError):
+            decompose_interaction(np.eye(3), [0.0, 0.0, 0.5], 1.0, rtol=1.0)

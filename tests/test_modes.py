@@ -58,6 +58,21 @@ class TestDressedModes:
             < 1e-12
         assert abs(plus.omega2 - (a0 + a1 * 0.5)) < 1e-14
 
+    def test_normalization_on_random_tilted_directions(self):
+        rng = np.random.default_rng(20)
+        for _ in range(25):
+            j_hat, k_hat = rng.normal(size=(2, 3))
+            a0 = float(rng.uniform(0.5, 2.0))
+            a1 = float(rng.uniform(0.0, 0.99 * a0))
+            plus, minus = dressed_modes(k_hat, j_hat, a0, a1)
+            M = medium_matrix(a0, a1, j_hat / np.linalg.norm(j_hat))
+            for br in (plus, minus):
+                assert abs(br.polarization @ br.k_hat) < 1e-14
+                assert abs(medium_inner(br.polarization, br.polarization, M)
+                           - 1.0) < 1e-12
+            assert abs(medium_inner(plus.polarization, minus.polarization,
+                                    M)) < 1e-12
+
     def test_degenerate_geometry(self):
         with pytest.raises(DegenerateGeometry):
             dressed_modes([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 1.0, 0.1)

@@ -362,3 +362,8 @@ class TestSpinProducts:
     def test_consistency_check(self):
         res = spin_correlation_check([0.1, -0.2, 0.4])
         assert all(v <= 1e-12 for v in res.values())
+
+
+def test_spin_correlation_check_takes_no_tolerance():
+    with pytest.raises(TypeError):
+        spin_correlation_check([0.1, -0.2, 0.4], tol=1.0)

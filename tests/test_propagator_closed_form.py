@@ -14,6 +14,7 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from atomlight.errors import OutsideDomain
 from atomlight.propagator import (short_propagator_closed,
                                   short_propagator_quadrature)
 
@@ -126,3 +127,66 @@ def test_huge_a0_underflows_to_positive_zero(a1):
     c = short_propagator_closed(1e300, a1, 1.0)
     for v in (c.rho_par, c.rho_perp, c.rho_gamma):
         assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
+
+# Below a0 of about 1e-124 the closed form's denominator is subnormal and
+# the triple overflows at k_L = 1; the inputs of the explicit cases once
+# gave ZeroDivisionError, inf/NaN entries, or an inaccurate finite triple.
+UNREPRESENTABLE = [(1e-200, 0.0, 1.0), (1e-200, 5e-201, 1.0),
+                   (1e-125, 0.0, 1.0), (1e-125, 3e-126, 1e-3)]
+
+
+@pytest.mark.parametrize("a0, a1, k_L", UNREPRESENTABLE)
+@pytest.mark.parametrize("coeffs", [short_propagator_closed,
+                                    short_propagator_quadrature])
+def test_unrepresentable_triple_outside_domain(coeffs, a0, a1, k_L):
+    with pytest.raises(OutsideDomain):
+        coeffs(a0, a1, k_L)
+
+
+small_a0 = dict(log_a0=st.floats(-300.0, -8.0), fraction=fractions,
+                k_L=st.sampled_from([1e-3, 1.0, 1.7]))
+
+
+def small_a0_case(log_a0, fraction):
+    a0 = 10.0**log_a0
+    a1 = a0 * fraction
+    assume(a1 < a0)
+    return a0, a1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**small_a0)
+@example(log_a0=-200.0, fraction=0.0, k_L=1.0)
+@example(log_a0=-125.0, fraction=0.0, k_L=1.0)
+@example(log_a0=-125.0, fraction=0.3, k_L=1e-3)
+@example(log_a0=-123.0, fraction=0.0, k_L=1.0)
+@example(log_a0=-120.0, fraction=1.0 - 1e-12, k_L=1.7)
+def test_small_a0_closed_form_within_8_ulps_or_outside_domain(log_a0,
+                                                              fraction, k_L):
+    a0, a1 = small_a0_case(log_a0, fraction)
+    try:
+        c = short_propagator_closed(a0, a1, k_L)
+    except OutsideDomain:
+        return
+    assert_within(c, mpmath_triple(a0, a1, k_L), 8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**small_a0)
+@example(log_a0=-200.0, fraction=0.0, k_L=1.0)
+@example(log_a0=-125.0, fraction=0.0, k_L=1.0)
+@example(log_a0=-125.0, fraction=0.3, k_L=1e-3)
+@example(log_a0=-123.0, fraction=0.0, k_L=1.0)
+@example(log_a0=-120.0, fraction=1.0 - 1e-12, k_L=1.7)
+def test_small_a0_quadrature_within_1e12_or_outside_domain(log_a0, fraction,
+                                                           k_L):
+    a0, a1 = small_a0_case(log_a0, fraction)
+    try:
+        q = short_propagator_quadrature(a0, a1, k_L)
+    except OutsideDomain:
+        return
+    expect = mpmath_triple(a0, a1, k_L)
+    scale = max(abs(x) for x in expect)
+    for name, g, x in zip(("rho_par", "rho_perp", "rho_gamma"), q, expect):
+        assert abs(g - x) <= 1e-12 * scale, (name, g, float(x))

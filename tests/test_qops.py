@@ -472,3 +472,21 @@ class TestMultimodeEntries:
             expect.append(pref * self.P4[m, n, mp, n2]
                           * weight.get((a, b, c, e), 0.0))
         self.assert_close(got, expect)
+
+
+class TestRemovedSurface:
+    def test_is_hermitian_takes_no_tolerance(self):
+        op = stokes_mode_pair(PolarizedModeBasis(1, 1.0), 0, 0)[0]
+        with pytest.raises(TypeError):
+            op.is_hermitian(tol=1.0)
+        assert not hasattr(op, "norm")
+
+    def test_single_mode_term_takes_no_mode_index(self):
+        basis = PolarizedModeBasis(2, 1.0)
+        Psi = np.ones((2, 2), dtype=complex)
+        with pytest.raises(TypeError):
+            spin_second_order_A_single_mode(basis, Psi, Psi, [1, 0, 0], 1.0,
+                                            1.0, 1.0, 1.0, 1.0, o=0)
+        res = spin_second_order_A_single_mode(basis, Psi, Psi, [1, 0, 0],
+                                              1.0, 1.0, 1.0, 1.0, 1.0)
+        assert not hasattr(res, "label")

@@ -136,3 +136,16 @@ class TestScenarioValidation:
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             anchor_scenario(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, False, "1.0"])
+    @pytest.mark.parametrize("name", [
+        "kappa", "n_photons", "n_atoms", "optical_depth", "wavelength",
+        "length", "transverse_size", "detuning", "linewidth", "density"])
+    def test_non_number_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            anchor_scenario(**{name: value})
+
+
+def test_report_holds_checks_only():
+    report = check_light_series(anchor_scenario())
+    assert list(vars(report)) == ["checks"]
