@@ -207,6 +207,8 @@ def kappa_coupling(k_L: float, beta: float, c1: float, U_o: float,
                    n_photons: float, rho: float, J_x: float,
                    L: float) -> float:
     """Dimensionless coupling kappa = k_L beta c1 U_o sqrt(N rho J_x L / 2)."""
+    if not all(v > 0 for v in (n_photons, rho, J_x, L)):
+        raise ValueError("n_photons, rho, J_x and L must be positive")
     return k_L * beta * c1 * U_o * np.sqrt(n_photons * rho * J_x * L / 2.0)
 
 
@@ -226,10 +228,6 @@ def symplectic_residual(S: np.ndarray, ordering: QuadratureOrdering) -> float:
     """max |S Omega S^T - Omega|: zero for an exactly symplectic S."""
     O = symplectic_form(ordering)
     return float(np.max(np.abs(S @ O @ S.T - O)))
-
-
-def is_symplectic(S: np.ndarray, ordering: QuadratureOrdering) -> bool:
-    return symplectic_residual(S, ordering) <= 1e-12
 
 
 def apply_collective_map(state: GaussianState, kappa: float) -> GaussianState:

@@ -14,6 +14,7 @@ carries the dimensional content (a volume).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,8 @@ class MediumScalars:
     a1: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a0) and math.isfinite(self.a1)):
+            raise ValueError(f"a0 and a1 must be finite, got {self.a0}, {self.a1}")
         if self.a0 <= 0 or self.a0 - abs(self.a1) <= 0:
             raise ValueError("need a0 > 0 and a0 - |a1| > 0")
 
@@ -182,8 +185,14 @@ def adiabatic_eliminate(dipole_elems) -> np.ndarray:
 
 
 def lorentz_lorenz(V: float) -> float:
-    """All-orders inverse permittivity (1 - V/3) / (1 + 2V/3)."""
-    return (1.0 - V / 3.0) / (1.0 + 2.0 * V / 3.0)
+    """All-orders inverse permittivity (1 - V/3) / (1 + 2V/3).
+
+    Raises UnphysicalMedium at the pole 1 + 2V/3 = 0.
+    """
+    den = 1.0 + 2.0 * V / 3.0
+    if den == 0:
+        raise UnphysicalMedium(f"V = {V} is the pole 1 + 2V/3 = 0")
+    return (1.0 - V / 3.0) / den
 
 
 def lorentz_lorenz_series(V: float, n_terms: int) -> float:
@@ -200,7 +209,9 @@ def lorentz_lorenz_series(V: float, n_terms: int) -> float:
 
 
 def mean_index_of_refraction(V: float) -> float:
-    """n = 1/sqrt(1 - V) for a scalar mean interaction V < 1."""
+    """n = 1/sqrt(1 - V) for a finite scalar mean interaction V < 1."""
+    if not math.isfinite(V):
+        raise UnphysicalMedium(f"V = {V} is not finite")
     if V >= 1.0:
         raise UnphysicalMedium(f"V = {V} >= 1")
     return 1.0 / np.sqrt(1.0 - V)

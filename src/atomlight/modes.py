@@ -18,9 +18,8 @@ the Gouy phase and the k z phase.  Exponentials run on the 1-D axes
 only, and the large k z enters once, in c.
 
 `mode_values` stacks a shared-k basis on a grid, and `TransverseGrid.weights`
-holds the trapezoid weights of `TransverseGrid.integrate`.  Overlap fields,
-the completeness kernel, expansions and the collective commutator are
-products of these two.
+holds the trapezoid weights of `TransverseGrid.integrate`.  Overlap fields
+and the collective commutator are products of these two.
 
 The Hermite polynomials come from `_eval_hermite`, a numpy copy of
 scipy.special.eval_hermite: H_n(x) = He_n(sqrt(2) x) 2^(n/2), with He_n
@@ -51,11 +50,6 @@ MAX_ORDER = 149
 def medium_matrix(a0: float, a1: float, j_hat) -> np.ndarray:
     """Response matrix M = a0*I + i*a1*[j_hat]_x of the polarized medium."""
     return a0 * np.eye(3, dtype=complex) + 1j * a1 * cross_matrix(np.asarray(j_hat))
-
-
-def medium_inner(phi, psi, M) -> complex:
-    """Inner product <phi|psi> = phi^* . M . psi weighted by the medium."""
-    return complex(np.conj(phi) @ M @ psi)
 
 
 @dataclass(frozen=True)
@@ -301,29 +295,3 @@ def overlap_field(basis: list, grid: TransverseGrid, z: float = 0.0) -> OverlapF
         np.multiply(np.conj(U[m]), U[m + 1:], out=Psi[m, m + 1:])
         np.conj(Psi[m, m + 1:], out=Psi[m + 1:, m])
     return OverlapField(Psi=Psi, grid=grid, z=z)
-
-
-def completeness_kernel(basis: list, grid: TransverseGrid, r_prime,
-                        z: float = 0.0) -> np.ndarray:
-    """Truncated kernel sum_n U_n^*(r_perp) U_n(r') on the grid.
-
-    As the truncation grows the kernel approaches a transverse delta at
-    r'; callers compare against a discrete delta or use it to resum test
-    functions.
-    """
-    xp, yp = r_prime
-    return np.tensordot(mode_values(basis, xp, yp, z),
-                        np.conj(mode_values(basis, grid.X, grid.Y, z)), 1)
-
-
-def expand_function(basis: list, grid: TransverseGrid, f,
-                    z: float = 0.0):
-    """Project a transverse field onto the basis and resum it.
-
-    Returns (coefficients, reconstruction) with c_n = int U_n^* f d2r.
-    The L2 error of the reconstruction measures completeness of the
-    truncated basis for that function.
-    """
-    U = mode_values(basis, grid.X, grid.Y, z)
-    coeffs = np.tensordot(np.conj(U) * grid.weights, f, 2)
-    return coeffs, np.tensordot(coeffs, U, 1)

@@ -397,22 +397,3 @@ def spin_half_self_product(J_bar) -> np.ndarray:
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
     C += 0.5j * np.einsum("nml,l->nm", eps, J_bar)
     return C
-
-
-def spin_correlation_check(J_bar) -> dict:
-    """Internal consistency of the spin-1/2 self products.
-
-    Checks hermiticity, the fixed trace 3/4, and that the antisymmetric
-    part reproduces (i/2) J_bar, each to 1e-12.  Returns the residuals.
-    """
-    C = spin_half_self_product(J_bar)
-    herm = float(np.max(np.abs(C - C.conj().T)))
-    trace = abs(C.trace() - 0.75)
-    anti = (C - C.T) / 2.0
-    recovered = np.array([anti[1, 2], anti[2, 0], anti[0, 1]]) / 0.5j
-    vec = float(np.max(np.abs(recovered - np.asarray(J_bar, dtype=complex))))
-    result = {"hermiticity": herm, "trace": float(trace), "vector": vec}
-    for key, val in result.items():
-        if val > 1e-12:
-            raise AssertionError(f"spin self-product check failed: {key}={val}")
-    return result

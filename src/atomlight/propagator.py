@@ -72,21 +72,37 @@ def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagator
     rho_perp = c (q^2 + 3 q - 2), rho_gamma = -2 c (a1/(s t)) (q + 3).
     (s + t)^2 = 2 (a0 + s t) and s t = sqrt((a0 - a1)(a0 + a1)) make
     s t = a0 and q = 2 at a1 = 0, so rho_perp == rho_par there, and
-    0.0 - x (not -x) keeps rho_gamma at +0.0.  Raises OutsideDomain
-    where an entry overflows or the denominator is subnormal (a0 below
-    about 1.5e-124 at a1 = 0), which would cost it its 8-ulp accuracy.
+    0.0 - x (not -x) keeps rho_gamma at +0.0.
+
+    Overflow rule: the expressions run on A = a0 4^-j and B = a1 4^-j,
+    A in [0.5, 2), and on the mantissas of k_L and a1; each entry takes
+    its power of two back in one ldexp.  So no intermediate overflows or
+    loses bits as a subnormal where its unscaled value would: the
+    denominator d = 3 pi (s + t) 2 (a0 + s t) s t above a0 of about
+    4e122, k_L^3, c, or a1/(s t).  Where every unscaled intermediate is
+    normal, the entries have its bits.  Raises OutsideDomain where an
+    entry overflows or d is subnormal (a0 below about 1.5e-124 at
+    a1 = 0).
     """
     _check_domain(a0, a1, k_L)
-    s, t = math.sqrt(a0 - a1), math.sqrt(a0 + a1)
-    st = math.sqrt((a0 - a1) * (a0 + a1))
+    j = math.frexp(a0)[1] // 2
+    A, B = math.ldexp(a0, -2 * j), math.ldexp(a1, -2 * j)
+    K, n = math.frexp(k_L)
+    m1, e1 = math.frexp(a1)
+    s, t = math.sqrt(A - B), math.sqrt(A + B)
+    st = math.sqrt((A - B) * (A + B))
     q = s / t + t / s
-    d = 3.0 * math.pi * (s + t) * (2.0 * (a0 + st)) * st
-    if d < sys.float_info.min:  # zero or subnormal: its bits are lost
+    d = 3.0 * math.pi * (s + t) * (2.0 * (A + st)) * st
+    if math.frexp(d)[1] + 5 * j <= -1022:  # the unscaled d 2^(5 j) < 2^-1022
         raise OutsideDomain(f"subnormal denominator at a0={a0}, a1={a1}")
-    c = k_L * k_L * k_L / d
-    return _finite(ShortPropagatorCoeffs(
-        8.0 * c, c * (q * (q + 3.0) - 2.0),
-        0.0 - 2.0 * c * (a1 / st) * (q + 3.0)), a0, a1, k_L)
+    c, e = K * K * K / d, 3 * n - 5 * j
+    try:
+        return ShortPropagatorCoeffs(
+            math.ldexp(8.0 * c, e), math.ldexp(c * (q * (q + 3.0) - 2.0), e),
+            0.0 - math.ldexp(2.0 * c * (m1 / st) * (q + 3.0), e + e1 - 2 * j))
+    except OverflowError:
+        raise OutsideDomain(f"triple overflows at a0={a0}, a1={a1}, "
+                            f"k_L={k_L}") from None
 
 
 @functools.cache

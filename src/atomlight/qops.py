@@ -75,7 +75,6 @@ class QuadraticOperator:
 
     basis: PolarizedModeBasis
     coeff: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         c = np.asarray(self.coeff, dtype=complex)
@@ -86,36 +85,13 @@ class QuadraticOperator:
     def is_hermitian(self) -> bool:
         return bool(np.max(np.abs(self.coeff - self.coeff.conj().T)) <= 1e-13)
 
-    def __add__(self, other: "QuadraticOperator") -> "QuadraticOperator":
-        if other.basis != self.basis:
-            raise BasisMismatch("cannot add operators on different bases")
-        return QuadraticOperator(self.basis, self.coeff + other.coeff,
-                                 label=self.label)
-
-    def __sub__(self, other: "QuadraticOperator") -> "QuadraticOperator":
-        if other.basis != self.basis:
-            raise BasisMismatch("cannot subtract operators on different bases")
-        return QuadraticOperator(self.basis, self.coeff - other.coeff,
-                                 label=self.label)
-
-    def __mul__(self, scalar) -> "QuadraticOperator":
-        return QuadraticOperator(self.basis, scalar * self.coeff, label=self.label)
-
-    __rmul__ = __mul__
-
-    def expectation_number(self, occupations) -> float:
-        """Expectation in a product Fock state with the given occupations."""
-        occ = np.asarray(occupations, dtype=float)
-        return float(np.real(np.sum(np.diag(self.coeff) * occ)))
-
 
 def commutator(A: QuadraticOperator, B: QuadraticOperator) -> QuadraticOperator:
     """[a^dag M a, a^dag N a] = a^dag [M, N] a."""
     if A.basis != B.basis:
         raise BasisMismatch("commutator requires a common basis")
     M, N = A.coeff, B.coeff
-    return QuadraticOperator(A.basis, M @ N - N @ M,
-                             label=f"[{A.label},{B.label}]")
+    return QuadraticOperator(A.basis, M @ N - N @ M)
 
 
 def stokes_mode_pair(basis: PolarizedModeBasis, m: int, m_prime: int):
@@ -131,9 +107,7 @@ def stokes_mode_pair(basis: PolarizedModeBasis, m: int, m_prime: int):
     s1[px, px], s1[py, py] = 0.5, -0.5
     s2[px, py] = s2[py, px] = 0.5
     s3[px, py], s3[py, px] = 0.5 / 1j, -0.5 / 1j
-    return (QuadraticOperator(basis, s1, f"s1^{m}{m_prime}"),
-            QuadraticOperator(basis, s2, f"s2^{m}{m_prime}"),
-            QuadraticOperator(basis, s3, f"s3^{m}{m_prime}"))
+    return tuple(QuadraticOperator(basis, c) for c in (s1, s2, s3))
 
 
 @dataclass(frozen=True)
@@ -154,7 +128,7 @@ class StokesField:
     def integrate(self, which: str) -> QuadraticOperator:
         """Transverse integral int s_i(r_perp) d2r as a single operator."""
         coeff = self.grid.integrate(getattr(self, which))
-        return QuadraticOperator(self.basis, coeff, label=f"int {which}")
+        return QuadraticOperator(self.basis, coeff)
 
 
 def stokes_field(basis: PolarizedModeBasis, modes, grid: TransverseGrid,
@@ -208,12 +182,11 @@ def _kron(a, b, c, d) -> np.ndarray:
             * cd[None, None, :, :, None, None, :, :])
 
 
-def _operator_dict(basis: PolarizedModeBasis, T: np.ndarray, name: str) -> dict:
+def _operator_dict(basis: PolarizedModeBasis, T: np.ndarray) -> dict:
     """Key the dense tensor T, reshaped to (D, D, D, D), by ((m, j), (m', j'))."""
     T = T.reshape((basis.dim,) * 4)
     labels = list(enumerate(basis.labels()))
-    return {(q, qp): QuadraticOperator(basis, T[p, pp],
-                                       label=f"{name}[{q[0]}{q[1]},{qp[0]}{qp[1]}]")
+    return {(q, qp): QuadraticOperator(basis, T[p, pp])
             for (p, q), (pp, qp) in itertools.product(labels, repeat=2)}
 
 
@@ -229,7 +202,7 @@ def stokes_first_order(basis: PolarizedModeBasis, W: np.ndarray,
     I_M, I2 = np.eye(basis.n_modes), np.eye(2)
     pref = k_L * c1 * beta * 0.5
     T = pref * (_kron(W.conj(), XI, I_M, I2) + _kron(I_M, I2, W, XI))
-    return _operator_dict(basis, T, "S1")
+    return _operator_dict(basis, T)
 
 
 def stokes_second_order_terms(basis: PolarizedModeBasis, W: np.ndarray,
@@ -254,15 +227,15 @@ def stokes_second_order_terms(basis: PolarizedModeBasis, W: np.ndarray,
     # sum_l xi_jl xi_ll' = (XI @ XI)[j, l'] = -delta_jl'
     B = -0.125 * (k_L * beta * c1)**2 * (_kron(Wc @ Wc, I2, I_M, I2)
                                          + _kron(I_M, I2, W @ W, I2))
-    out = {"S2_A": _operator_dict(basis, A, "S2_A"),
-           "S2_B": _operator_dict(basis, B, "S2_B")}
+    out = {"S2_A": _operator_dict(basis, A),
+           "S2_B": _operator_dict(basis, B)}
     if quartic_weights is not None:
         # (Jz^2, J^4) weights pair with (c1 xi_jl xi_j'l', c0 delta_jl delta_j'l')
         pol = np.array([c1 * XI, c0 * I2])
         Dt = (0.5 * k_L * beta)**2 * np.einsum("nmMNa,ajl,aJL->mjMJnlNL",
                                                quartic_weights, pol, pol,
                                                optimize=True)
-        out["S2_D"] = _operator_dict(basis, Dt, "S2_D")
+        out["S2_D"] = _operator_dict(basis, Dt)
     return out
 
 

@@ -168,6 +168,10 @@ class TestLorentzLorenz:
         with pytest.raises(SeriesDiverges):
             lorentz_lorenz_series(1.5, 10)
 
+    def test_pole_unphysical(self):
+        with pytest.raises(UnphysicalMedium):
+            lorentz_lorenz(-1.5)
+
 
 class TestMeanIndex:
     def test_values(self):
@@ -178,8 +182,9 @@ class TestMeanIndex:
                                                               rel=1e-12)
 
     def test_unphysical(self):
-        with pytest.raises(UnphysicalMedium):
-            mean_index_of_refraction(1.0)
+        for V in (1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(UnphysicalMedium):
+                mean_index_of_refraction(V)
 
 
 class TestSpinFieldAndScalars:
@@ -207,8 +212,10 @@ class TestSpinFieldAndScalars:
         assert ms.a1 == pytest.approx(0.01 * 10.0 * 0.5 * 0.5)
 
     def test_scalars_domain(self):
-        with pytest.raises(ValueError):
-            MediumScalars(a0=0.3, a1=0.4)
+        for a0, a1 in ((0.3, 0.4), (np.nan, 0.0), (np.inf, 0.0),
+                       (1.0, np.nan), (np.inf, np.inf)):
+            with pytest.raises(ValueError):
+                MediumScalars(a0=a0, a1=a1)
 
 
 class TestRemovedSurface:

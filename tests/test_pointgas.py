@@ -10,8 +10,8 @@ from atomlight.errors import TooFewBatches, UnknownProfile
 from atomlight.pointgas import (CorrelationEstimate, box_form_factor,
                                 density_correlation, gaussian_form_factor,
                                 sample_clouds, sampled_scattering_sums,
-                                scattering_sums, spin_correlation_check,
-                                spin_half_self_product, stream_keys)
+                                scattering_sums, spin_half_self_product,
+                                stream_keys)
 
 
 def spawned_generators(seed, n):
@@ -360,10 +360,11 @@ class TestSpinProducts:
         assert C[1, 0] == pytest.approx(-0.25j)
 
     def test_consistency_check(self):
-        res = spin_correlation_check([0.1, -0.2, 0.4])
-        assert all(v <= 1e-12 for v in res.values())
-
-
-def test_spin_correlation_check_takes_no_tolerance():
-    with pytest.raises(TypeError):
-        spin_correlation_check([0.1, -0.2, 0.4], tol=1.0)
+        # Hermitian, trace 3/4, and the antisymmetric part is (i/2) J_bar.
+        J = [0.1, -0.2, 0.4]
+        C = spin_half_self_product(J)
+        assert np.max(np.abs(C - C.conj().T)) <= 1e-12
+        assert abs(C.trace() - 0.75) <= 1e-12
+        anti = (C - C.T) / 2.0
+        recovered = np.array([anti[1, 2], anti[2, 0], anti[0, 1]]) / 0.5j
+        assert np.max(np.abs(recovered - np.asarray(J))) <= 1e-12

@@ -190,3 +190,43 @@ def test_small_a0_quadrature_within_1e12_or_outside_domain(log_a0, fraction,
     scale = max(abs(x) for x in expect)
     for name, g, x in zip(("rho_par", "rho_perp", "rho_gamma"), q, expect):
         assert abs(g - x) <= 1e-12 * scale, (name, g, float(x))
+
+
+DBL_MIN, DBL_MAX = 2.0**-1022, 1.7976931348623157e308
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(log_a0=st.floats(-100.0, 300.0), fraction=st.floats(0.0, 0.99),
+       log_k=st.floats(-3.0, 100.0))
+@example(log_a0=124.0, fraction=0.3, log_k=0.0)
+@example(log_a0=130.0, fraction=0.3, log_k=100.0)
+@example(log_a0=200.0, fraction=0.3, log_k=100.0)
+@example(log_a0=300.0, fraction=0.99, log_k=100.0)
+@example(log_a0=-100.0, fraction=0.0, log_k=100.0)
+@example(log_a0=0.5, fraction=5e-324, log_k=6.0)  # a1/st is subnormal
+@example(log_a0=120.08, fraction=0.99, log_k=-3.0)  # c is subnormal
+def test_closed_form_normal_entries_within_8_ulps_over_scales(log_a0,
+                                                             fraction, log_k):
+    # mpmath_triple integrates at a0 = 1 and scales by k^3 a0^(-5/2).
+    a0, k_L = 10.0**log_a0, 10.0**log_k
+    a1 = a0 * fraction
+    expect = mpmath_triple(a0, a1, k_L)
+    try:
+        c = short_propagator_closed(a0, a1, k_L)
+    except OutsideDomain:
+        assert max(abs(x) for x in expect) > DBL_MAX
+        return
+    for name, g, x in zip(("rho_par", "rho_perp", "rho_gamma"), c, expect):
+        if DBL_MIN <= abs(x) <= DBL_MAX:
+            assert abs(g - x) <= 8 * EPS * abs(x), (name, g, float(x))
+
+
+def test_large_a0_subnormal_triple_has_the_oracles_signs():
+    # The denominator overflows at a0 = 1e124, but the triple is a
+    # (subnormal) nonzero float.
+    c = short_propagator_closed(1e124, 3e123, 1.0)
+    q = short_propagator_quadrature(1e124, 3e123, 1.0)
+    expect = mpmath_triple(1e124, 3e123, 1.0)
+    for g, o, x in zip(c, q, expect):
+        assert g != 0.0 and math.copysign(1.0, g) == math.copysign(1.0, o)
+        assert abs(g - x) <= 2e-12 * abs(x)
