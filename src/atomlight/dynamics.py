@@ -207,9 +207,12 @@ def kappa_coupling(k_L: float, beta: float, c1: float, U_o: float,
                    n_photons: float, rho: float, J_x: float,
                    L: float) -> float:
     """Dimensionless coupling kappa = k_L beta c1 U_o sqrt(N rho J_x L / 2)."""
-    if not all(v > 0 for v in (n_photons, rho, J_x, L)):
-        raise ValueError("n_photons, rho, J_x and L must be positive")
-    return k_L * beta * c1 * U_o * np.sqrt(n_photons * rho * J_x * L / 2.0)
+    if not all(0 < v < np.inf for v in (n_photons, rho, J_x, L)):
+        raise ValueError("n_photons, rho, J_x, L must be positive and finite")
+    kappa = k_L * beta * c1 * U_o * np.sqrt(n_photons * rho * J_x * L / 2.0)
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa = {kappa} is not a finite number")
+    return kappa
 
 
 def collective_map_matrix(ordering: QuadratureOrdering, kappa: float) -> np.ndarray:

@@ -187,11 +187,11 @@ def adiabatic_eliminate(dipole_elems) -> np.ndarray:
 def lorentz_lorenz(V: float) -> float:
     """All-orders inverse permittivity (1 - V/3) / (1 + 2V/3).
 
-    Raises UnphysicalMedium at the pole 1 + 2V/3 = 0.
+    Raises UnphysicalMedium where 1 + 2V/3 is zero or not finite.
     """
     den = 1.0 + 2.0 * V / 3.0
-    if den == 0:
-        raise UnphysicalMedium(f"V = {V} is the pole 1 + 2V/3 = 0")
+    if den == 0 or not math.isfinite(den):
+        raise UnphysicalMedium(f"V = {V}: 1 + 2V/3 is zero or not finite")
     return (1.0 - V / 3.0) / den
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from atomlight import dynamics
 from atomlight.dynamics import (GaussianState, LocalFrames, MemoryResult,
                                 QuadratureOrdering, apply_collective_map,
                                 beyond_paraxial_light_increments,
@@ -187,6 +188,17 @@ class TestCollectiveConstruction:
                         pytest.raises(ValueError, match="must be positive"):
                     kappa_coupling(*args)
 
+    def test_kappa_rejects_non_finite_inputs_and_overflow(self):
+        for i in range(4, 8):
+            args = [2.0, 0.01, 0.5, 3.0, 100.0, 4.0, 0.5, 2.0]
+            args[i] = np.inf
+            with pytest.raises(ValueError, match="finite"):
+                kappa_coupling(*args)
+        with pytest.raises(ValueError, match="finite"):
+            kappa_coupling(2.0, 0.01, 0.5, 3.0, 1e300, 1e300, 0.5, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            kappa_coupling(np.nan, 0.01, 0.5, 3.0, 100.0, 4.0, 0.5, 2.0)
+
 
 class TestMultimodeIncrements:
     def test_light_kicks_split_re_im(self):
@@ -299,10 +311,16 @@ class TestFixedSettings:
                                            **kw), {"light_mode": 0}),
         (lambda **kw: apply_collective_map(GaussianState.vacuum(ORD), 0.5,
                                            **kw), {"atom_mode": 0}),
+        (lambda **kw: symplectic_residual(np.eye(ORD.dim), ORD, **kw),
+         {"tol": 1.0}),
     ])
     def test_removed_option_raises_type_error(self, call, kwargs):
         with pytest.raises(TypeError):
             call(**kwargs)
+
+    def test_symplectic_wrapper_is_gone(self):
+        # symplectic_residual is the check; no thresholded wrapper remains.
+        assert not hasattr(dynamics, "is_symplectic")
 
     def test_memory_result_holds_state_and_outcome(self):
         res = memory_protocol(GaussianState.vacuum(ORD), 0.5, -2.0,

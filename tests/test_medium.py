@@ -172,6 +172,13 @@ class TestLorentzLorenz:
         with pytest.raises(UnphysicalMedium):
             lorentz_lorenz(-1.5)
 
+    def test_non_finite_unphysical(self):
+        # 2V overflows above about 9e307, where 1 + 2V/3 is not finite.
+        for V in (np.nan, np.inf, -np.inf, 1e308, -1e308):
+            with pytest.raises(UnphysicalMedium):
+                lorentz_lorenz(V)
+        assert lorentz_lorenz(8e307) == pytest.approx(-0.5, rel=1e-15)
+
 
 class TestMeanIndex:
     def test_values(self):

@@ -384,6 +384,11 @@ class TestGridQuadrature:
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+def test_wrappers_read_only_by_tests_are_gone():
+    for name in ("medium_inner", "completeness_kernel", "expand_function"):
+        assert not hasattr(modes, name), name
+
+
 class TestCompleteness:
     def test_gaussian_reconstruction(self):
         k, w0 = 200.0, 1.0

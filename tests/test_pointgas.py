@@ -368,3 +368,7 @@ class TestSpinProducts:
         anti = (C - C.T) / 2.0
         recovered = np.array([anti[1, 2], anti[2, 0], anti[0, 1]]) / 0.5j
         assert np.max(np.abs(recovered - np.asarray(J))) <= 1e-12
+
+
+def test_spin_correlation_self_test_is_gone():
+    assert not hasattr(pointgas, "spin_correlation_check")

@@ -460,6 +460,15 @@ class TestMultimodeEntries:
 
 
 class TestRemovedSurface:
+    def test_operator_has_no_label_or_arithmetic(self):
+        op = stokes_mode_pair(PolarizedModeBasis(1, 1.0), 0, 0)[0]
+        assert not hasattr(op, "label")
+        assert not hasattr(op, "expectation_number")
+        for combine in (lambda a: a + a, lambda a: a - a, lambda a: 2.0 * a,
+                        lambda a: a * 2.0):
+            with pytest.raises(TypeError):
+                combine(op)
+
     def test_is_hermitian_takes_no_tolerance(self):
         op = stokes_mode_pair(PolarizedModeBasis(1, 1.0), 0, 0)[0]
         with pytest.raises(TypeError):
