@@ -4,7 +4,7 @@ Config schema (JSON; unknown keys anywhere are errors):
 
     {
       "seed": 1234,                      // int in [0, 2**64); --seed overrides
-      "output_dir": "out",               // --out overrides
+      "output_dir": "out",               // non-empty string, no NUL; --out overrides
       "analyses": ["regime", ...],       // any of ANALYSES below
       "scenario": {                      // regime.Scenario fields, checked at load
         "kappa": 1.0, "n_photons": 1e8, "n_atoms": 1e6,
@@ -26,7 +26,9 @@ Config schema (JSON; unknown keys anywhere are errors):
                    "delta_k": [60.0, 0.0, 0.0]}   // three finite numbers
     }
 
-Exit codes: 0 success, 2 config error, 3 analysis error.  Outputs are
+Exit codes: 0 success, 2 config error or output that cannot be written,
+3 analysis error.  A run or sweep computes every analysis before it
+creates the output directory, so one that fails writes nothing.  Outputs are
 bit-identical for identical config and seed; every artifact starts with
 a header block carrying the config hash, the seed, and the versions of
 this package and its numeric dependencies.  A sweep's hash covers the
@@ -51,7 +53,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -73,19 +74,6 @@ from .regime import (Scenario, _is_finite, check_fresnel_basis,
 ANALYSES = ("rho-coefficients", "stokes-map", "memory-protocol",
             "pointgas", "regime")
 
-_DEFAULTS = {
-    "seed": 0,
-    "output_dir": "out",
-    "analyses": [],
-    "modes": {"max_order": 2, "k": 7.4e6},
-    "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0, "a0": 1.0, "a1": 0.3,
-                "column_rho_jz": 0.0, "stokes_in": [1.0, 0.0, 0.0],
-                "gain": None},
-    "pointgas": {"n_atoms": 100, "n_clouds": 256, "profile": "box",
-                 "size": 1.0, "delta_k": [60.0, 0.0, 0.0]},
-}
-
-
 def _check_keys(section: str, data, allowed) -> None:
     if not isinstance(data, dict):
         raise ConfigInvalid(f"{section or 'config'} must be an object")
@@ -95,49 +83,46 @@ def _check_keys(section: str, data, allowed) -> None:
             raise ConfigInvalid(f"unknown config key: {where}")
 
 
-def _is_finite_number(value) -> bool:
-    """A float or an int that is finite as a float; bools are not numbers."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, int) and _is_finite(value)
-
-
 def _integer(low: int, high: int):
-    """The row of an integer field, valid in [low, high)."""
+    """The rule and description of an integer field valid in [low, high)."""
     return range(low, high), f"an integer in [{low}, {high})"
 
 
-_FINITE = _is_finite_number, "a finite number"
-_POSITIVE = (lambda v: _is_finite_number(v) and v > 0), "a finite number > 0"
+_FINITE = _is_finite, "a finite number"
+_POSITIVE = (lambda v: _is_finite(v) and v > 0), "a finite number > 0"
 _TRIPLE = (lambda v: isinstance(v, list) and len(v) == 3
-           and all(map(_is_finite_number, v))), "three finite numbers"
+           and all(map(_is_finite, v))), "three finite numbers"
 
-# What each config field accepts, by dotted path, in _DEFAULTS order: an
+# Every config field but the scenario section, by dotted path, in file
+# order: (default, rule, description of what the rule accepts).  An
 # integer field's rule is its range of valid values, any other's a
 # predicate.  n_atoms sizes a numpy axis (at most 2**63 - 1), n_clouds is
 # a number of stream_keys streams, and max_order is the largest m + n of
 # a HermiteGaussMode.
 _FIELDS = {
-    "seed": _integer(0, 2**64),
-    "modes.max_order": _integer(0, MAX_ORDER + 1),
-    "modes.k": _POSITIVE,
-    "physics.beta": _FINITE, "physics.c0": _FINITE, "physics.c1": _FINITE,
-    "physics.a0": _FINITE, "physics.a1": _FINITE,
-    "physics.column_rho_jz": _FINITE,
-    "physics.stokes_in": _TRIPLE,
-    "physics.gain": ((lambda v: v is None or _is_finite_number(v)),
+    "seed": (0, *_integer(0, 2**64)),
+    "output_dir": ("out", lambda v: isinstance(v, str) and v != ""
+                   and "\0" not in v, "a non-empty string without NUL"),
+    "analyses": ([], lambda v: isinstance(v, list), "a list"),
+    "modes.max_order": (2, *_integer(0, MAX_ORDER + 1)),
+    "modes.k": (7.4e6, *_POSITIVE),
+    "physics.beta": (1e-3, *_FINITE), "physics.c0": (0.0, *_FINITE),
+    "physics.c1": (1.0, *_FINITE), "physics.a0": (1.0, *_FINITE),
+    "physics.a1": (0.3, *_FINITE), "physics.column_rho_jz": (0.0, *_FINITE),
+    "physics.stokes_in": ([1.0, 0.0, 0.0], *_TRIPLE),
+    "physics.gain": (None, lambda v: v is None or _is_finite(v),
                      "null or a finite number"),
-    "pointgas.n_atoms": _integer(2, 2**63),
-    "pointgas.n_clouds": _integer(MIN_BATCHES, MAX_STREAMS + 1),
-    "pointgas.profile": (lambda v: v in PROFILES, f"one of {PROFILES}"),
-    "pointgas.size": _POSITIVE,
-    "pointgas.delta_k": _TRIPLE,
+    "pointgas.n_atoms": (100, *_integer(2, 2**63)),
+    "pointgas.n_clouds": (256, *_integer(MIN_BATCHES, MAX_STREAMS + 1)),
+    "pointgas.profile": ("box", lambda v: v in PROFILES, f"one of {PROFILES}"),
+    "pointgas.size": (1.0, *_POSITIVE),
+    "pointgas.delta_k": ([60.0, 0.0, 0.0], *_TRIPLE),
 }
 
 
 def _check_field(cfg: dict, path: str) -> None:
-    """Raise ConfigInvalid unless the value at path passes its _FIELDS row."""
-    rule, want = _FIELDS[path]
+    """Raise ConfigInvalid unless the value at path passes its _FIELDS rule."""
+    _, rule, want = _FIELDS[path]
     section, _, key = path.rpartition(".")
     value = (cfg[section] if section else cfg)[key]
     if isinstance(rule, range):
@@ -164,13 +149,11 @@ def _check_scenario(cfg: dict) -> None:
 
 def _check_values(cfg: dict) -> None:
     """Value checks on a merged config, shared by load_config and sweep."""
-    if not isinstance(cfg["analyses"], list):
-        raise ConfigInvalid("analyses must be a list")
+    for path in _FIELDS:
+        _check_field(cfg, path)
     for name in cfg["analyses"]:
         if name not in ANALYSES:
             raise ConfigInvalid(f"unknown analysis: analyses.{name}")
-    for path in _FIELDS:
-        _check_field(cfg, path)
     _check_scenario(cfg)
 
 
@@ -187,9 +170,13 @@ def load_config(path) -> dict:
         raise ConfigInvalid(f"config is not UTF-8: {path}") from exc
     except ValueError as exc:  # also an int literal over 4300 digits
         raise ConfigInvalid(f"config cannot be read as JSON: {exc}") from exc
-    _check_keys("", raw, {*_DEFAULTS, "scenario"})
     cfg = {}
-    for key, default in _DEFAULTS.items():
+    for dotted, (default, _, _) in _FIELDS.items():
+        section, _, key = dotted.rpartition(".")
+        node = cfg.setdefault(section, {}) if section else cfg
+        node[key] = copy.copy(default)  # no config aliases a list default
+    _check_keys("", raw, {*cfg, "scenario"})
+    for key, default in cfg.items():
         value = raw.get(key, default)
         if isinstance(default, dict):
             _check_keys(key, value, default)
@@ -384,13 +371,18 @@ def _analyse(name: str, cfg: dict, memo: dict):
 
 
 def run(cfg: dict, out_dir) -> dict:
-    """Execute the configured analyses; returns the summary payload."""
+    """Execute the configured analyses; returns the summary payload.
+
+    Every analysis runs before the output directory is created, so one
+    that fails writes nothing.
+    """
+    memo = {}
+    results = [(name, _analyse(name, cfg, memo)) for name in cfg["analyses"]]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(cfg, cfg["seed"])
-    summary, memo = {"analyses": {}}, {}
-    for name in cfg["analyses"]:
-        metrics, rows, fieldnames = _analyse(name, cfg, memo)
+    summary = {"analyses": {}}
+    for name, (metrics, rows, fieldnames) in results:
         _write_csv(out / f"{name}.csv", provenance, fieldnames,
                    ([_fmt(v) for v in row] for row in rows))
         summary["analyses"][name] = metrics
@@ -418,20 +410,21 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
     """Run the analyses once per value, on a copy of cfg; one CSV row each.
 
     Every point is checked before the first one runs, so a bad value
-    raises ConfigInvalid and writes nothing.  The first point passes all
-    of _check_values; a later point differs from it only at param, so it
-    passes param's _FIELDS row alone, or _check_scenario for a scenario
-    path.  For the same reason an analysis is re-evaluated at each point
-    only if it reads param or a section holding it; every other one
-    returns its first point's result, whose formatted CSV cells are
-    reused.
+    raises ConfigInvalid and writes nothing; the output directory is
+    created after the last point, so a failing analysis writes nothing
+    either.  The first point passes all of _check_values; a later point
+    differs from it only at param, so it passes param's _FIELDS rule
+    alone, or _check_scenario for a scenario path.  For the same reason
+    an analysis is re-evaluated at each point only if it reads param or
+    a section holding it; every other one returns its first point's
+    result, whose formatted CSV cells are reused.
     """
     values = list(values)
     point = copy.deepcopy(cfg)
     node, key = _resolve_path(point, param)
     # An integral float inside an integer field's range becomes that int;
     # any other entry stays as given, so an error names it as given.
-    rule = _FIELDS.get(param, (None,))[0]
+    _, rule, _ = _FIELDS.get(param, (None,) * 3)
     settings = [int(v) if isinstance(rule, range) and isinstance(v, float)
                 and v.is_integer() and int(v) in rule else v for v in values]
     for i, setting in enumerate(settings):
@@ -444,8 +437,6 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
             _check_scenario(point)
     provenance = _provenance(
         {"config": cfg, "param": param, "values": values}, cfg["seed"])
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # An analysis listed twice gives its columns once.
     names = dict.fromkeys(point["analyses"])
     stale = [_RUNNERS[name].__name__ for name in names
@@ -465,6 +456,8 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
                 last[name] = result, [_fmt(v) for v in result[0].values()]
             cells += last[name][1]
         lines.append(cells)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     safe = param.replace(".", "_")
     _write_csv(out / f"sweep_{safe}.csv", provenance, header, lines)
 
@@ -518,6 +511,9 @@ def main(argv=None) -> int:
     except AtomLightError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the output directory or an artifact
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -278,6 +278,60 @@ class TestConfigValidation:
         assert main(["--out", str(out), "run", str(path)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("output_dir", [5, ["a"], None, True, "",
+                                            "a\u0000b"])
+    def test_output_dir_not_a_path_rejected(self, tmp_path, monkeypatch,
+                                            capsys, output_dir):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, analyses=["rho-coefficients"],
+                            output_dir=output_dir)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir must be")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+class TestUnwritableOutput:
+    """Output that cannot be written exits 2 or 3 and leaves no directory."""
+
+    @staticmethod
+    def argv(out, command, path, values="0.1,0.2"):
+        extra = ["--param", "physics.a1", "--values", values] \
+            if command == "sweep" else []
+        return ["--out", str(out), command, str(path)] + extra
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "under-file"])
+    def test_output_path_blocked_by_file(self, tmp_path, capsys, command,
+                                         under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        path = write_config(tmp_path, analyses=["rho-coefficients"])
+        out = blocker / "out" if under else blocker
+        assert main(self.argv(out, command, path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:") and str(blocker) in err
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "x"
+
+    def test_failing_analysis_run_writes_nothing(self, tmp_path):
+        # stokes-map succeeds; rho-coefficients then fails on a0 = 1e-125.
+        path = write_config(tmp_path,
+                            analyses=["stokes-map", "rho-coefficients"],
+                            physics={"a0": 1e-125, "a1": 0.0})
+        out = tmp_path / "out"
+        assert main(self.argv(out, "run", path)) == 3
+        assert not out.exists()
+
+    def test_failing_point_sweep_writes_nothing(self, tmp_path):
+        # a1 = a0 is outside 0 <= a1 < a0: the second point fails.
+        path = write_config(tmp_path, analyses=["rho-coefficients"])
+        out = tmp_path / "out"
+        assert main(self.argv(out, "sweep", path, "0.3,1.0")) == 3
+        assert not out.exists()
+
 
 class TestUnreadableInput:
     """Input that is not a config or a number list exits 2, writing nothing."""
@@ -839,15 +893,34 @@ class TestSweepPointChecks:
 
 
 class TestFieldRules:
-    def test_every_default_field_has_one_rule_in_order(self):
-        fields = []
-        for name, value in cli._DEFAULTS.items():
-            if isinstance(value, dict):
-                fields += (f"{name}.{key}" for key in value)
-            # output_dir is a free path; _check_values checks analyses.
-            elif name not in ("output_dir", "analyses"):
-                fields.append(name)
-        assert list(cli._FIELDS) == fields
+    @staticmethod
+    def load_empty(tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        return load_config(path)
+
+    def test_every_default_passes_its_own_rule(self, tmp_path):
+        cfg = self.load_empty(tmp_path)
+        for dotted in cli._FIELDS:
+            cli._check_field(cfg, dotted)
+
+    def test_empty_config_loads_exactly_the_row_defaults(self, tmp_path):
+        expected = {"scenario": None}
+        for dotted, (default, _, _) in cli._FIELDS.items():
+            section, _, key = dotted.rpartition(".")
+            node = expected.setdefault(section, {}) if section else expected
+            node[key] = default
+        assert self.load_empty(tmp_path) == expected
+
+    def test_loaded_config_does_not_alias_the_table(self, tmp_path):
+        cfg = self.load_empty(tmp_path)
+        cfg["analyses"].append("regime")
+        cfg["physics"]["stokes_in"][0] = 0.5
+        cfg["pointgas"]["delta_k"].clear()
+        assert cli._FIELDS["analyses"][0] == []
+        assert cli._FIELDS["physics.stokes_in"][0] == [1.0, 0.0, 0.0]
+        assert cli._FIELDS["pointgas.delta_k"][0] == [60.0, 0.0, 0.0]
+        assert self.load_empty(tmp_path)["analyses"] == []
 
 
 def rho_fractions():
