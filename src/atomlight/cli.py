@@ -31,17 +31,19 @@ Exit codes: 0 success, 2 config error or output that cannot be written,
 creates the output directory, so one that fails writes nothing.  Outputs are
 bit-identical for identical config and seed; every artifact starts with
 a header block carrying the config hash, the seed, and the versions of
-this package and its numeric dependencies.  A sweep's hash covers the
-base config, the swept parameter and the value list.  Every sweep point
-is checked before any point runs: the first with all the checks of a
-loaded config, each later one with the check of the swept field alone
-(the whole scenario check for a scenario field), since no other value
-changed.  An integral value such as 3.0 may set an integer field.  The
-swept path also decides reuse: a sweep re-evaluates at each point only
-the analyses that declare --param or a section holding it, and reuses
-every other result from the first point.  A --values entry that is not
-a number, a config path that cannot be read as a file and a config that
-is not UTF-8 are config errors (exit 2), like a bad config value.
+this package and its numeric dependencies.  A --out value must pass the
+output_dir rule; unlike output_dir, it does not enter the config hash.
+A sweep's hash covers the base config, the swept parameter and the
+value list.  Every sweep point is checked before any point runs: the
+first with all the checks of a loaded config, each later one with the
+check of the swept field alone (the whole scenario check for a scenario
+field), since no other value changed.  An integral value such as 3.0
+may set an integer field.  The swept path also decides reuse: a sweep
+re-evaluates at each point only the analyses that declare --param or a
+section holding it, and reuses every other result from the first point.
+A --values entry that is not a number, a config path that cannot be
+read as a file and a config that is not UTF-8 are config errors
+(exit 2), like a bad config value.
 """
 
 from __future__ import annotations
@@ -500,7 +502,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
             _check_field(cfg, "seed")
-        out_dir = args.out if args.out is not None else cfg["output_dir"]
+        out_dir = cfg["output_dir"]
+        if args.out is not None:
+            # The output_dir rule, on a value kept out of the config hash.
+            out_dir = args.out
+            _check_field({"output_dir": out_dir}, "output_dir")
         if args.command == "run":
             run(cfg, out_dir)
         else:

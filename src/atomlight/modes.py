@@ -189,6 +189,8 @@ def hermite_gauss_eval(mode: HermiteGaussMode, x, y, z):
     c = B (w0/w) e^(i (k z - gouy)).  Each factor is evaluated on its own
     axis and the result costs one product of the two; the large k z
     phase enters once, through c, and never meets the transverse phase.
+    An axis factor is 0 where it is not finite at a non-NaN coordinate:
+    far out at high order, where H overflows and the envelope is 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -201,9 +203,21 @@ def hermite_gauss_eval(mode: HermiteGaussMode, x, y, z):
         q = complex(q, mode.k / (2.0 * R))
     gouy = (mode.m + mode.n + 1) * np.arctan(z / z0)
     c = mode.B * (mode.w0 / w) * np.exp(1j * (mode.k * z - gouy))
-    ux = _eval_hermite(mode.m, np.sqrt(2.0) * x / w) * np.exp(q * x**2)
-    uy = _eval_hermite(mode.n, np.sqrt(2.0) * y / w) * np.exp(q * y**2)
-    return c * ux * uy
+    return c * _axis_factor(mode.m, x, w, q) * _axis_factor(mode.n, y, w, q)
+
+
+def _axis_factor(order: int, v: np.ndarray, w: float, q) -> np.ndarray:
+    """H_order(sqrt(2) v/w) e^(q v^2) on one axis, 0 where it is not finite.
+
+    Far out at high order the Hermite recurrence overflows to inf or nan
+    where the envelope e^(q v^2) has underflowed to 0, so the product is
+    nan; the true value there is 0.  A NaN coordinate still gives NaN.
+    A scalar v gives a numpy scalar: an array complex product may fuse
+    multiply-adds, a scalar one does not.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _eval_hermite(order, np.sqrt(2.0) * v / w) * np.exp(q * v**2)
+    return np.where(np.isfinite(u) | np.isnan(v), u, 0.0)[()]
 
 
 def mode_values(basis, x, y, z: float = 0.0) -> np.ndarray:

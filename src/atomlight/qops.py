@@ -28,8 +28,13 @@ removes the inner polarization sum.
 Each separable tensor a[m, n] b[j, l] c[m', n'] d[j', l'] is the
 broadcast product of two (M, 2, M, 2) factors, a x b and c x d; S2_D
 contracts its quartic weights with the polarization pairs in one
-optimized einsum.  `stokes_field` writes the eight nonzero polarization
-blocks of each Stokes field into a zeroed, C-ordered array.
+optimized einsum.
+
+A Stokes field s_i(r) = Psi[m, m'](r) sigma_i[j, j'] / 2 is held as its
+overlaps Psi alone, an (nx, ny, M, M) array.  `StokesField.integrate`
+integrates Psi times each of the two nonzero polarization factors and
+places the two (M, M) results in the (D, D) coefficient; the dense
+(nx, ny, D, D) arrays s0..s3, half zeros, are built only when read.
 """
 
 from __future__ import annotations
@@ -110,24 +115,58 @@ def stokes_mode_pair(basis: PolarizedModeBasis, m: int, m_prime: int):
     return tuple(QuadraticOperator(basis, c) for c in (s1, s2, s3))
 
 
+# (1, sigma_z, sigma_x, sigma_y) / 2: the polarization factor of each
+# Stokes field, indexed [j, j'].  Each nonzero entry is +-1/2 or +-i/2, so
+# its product with Psi is exact.
+_STOKES_POL = dict(zip(("s0", "s1", "s2", "s3"), 0.5 * np.array(
+    [np.eye(2), [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])))
+
+
+def _dense(which: str) -> property:
+    """The dense (nx, ny, dim, dim) field `which`, built on each read."""
+    return property(lambda self: self._assemble(which, lambda block: block))
+
+
 @dataclass(frozen=True)
 class StokesField:
     """Position-dependent Stokes operators on a detector-plane grid.
 
-    Each field has shape (nx, ny, dim, dim): a quadratic-operator
-    coefficient matrix at every transverse point.
+    Holds the mode overlaps Psi[x, y, m, m'] = U_m^* U_m' of shape
+    (nx, ny, M, M).  The Stokes field s_i at a grid point is the
+    quadratic-operator coefficient Psi[m, m'] sigma_i[j, j'] / 2 over
+    the (mode, polarization) basis; half of its (j, j') blocks are zero.
+    The properties s0..s3 build it as a dense (nx, ny, dim, dim) array
+    when read; `integrate` never builds it.
     """
 
     basis: PolarizedModeBasis
     grid: TransverseGrid
-    s0: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
+    Psi: np.ndarray
+
+    def _assemble(self, which: str, reduce) -> np.ndarray:
+        """Field `which` with its nonzero (j, j') blocks passed through reduce.
+
+        The two nonzero blocks Psi * sigma_i[j, j'] / 2 are stacked on an
+        axis of their own, (nx, ny, 2, M, M), and reduce maps that array
+        to (..., 2, M, M); the zero blocks stay zero.  The stacked axis
+        keeps a grid sum in numpy's sequential order, as on the dense
+        field, even at M = 1.
+        """
+        pol = _STOKES_POL[which]
+        j, J = np.nonzero(pol)
+        blocks = reduce(self.Psi[..., None, :, :] * pol[j, J, None, None])
+        lead = blocks.shape[:-3]
+        M, dim = self.basis.n_modes, self.basis.dim
+        out = np.zeros(lead + (M, 2, M, 2), dtype=complex)
+        # out indexed [..., j, j', m, m']
+        np.moveaxis(out, (-3, -1), (-4, -3))[..., j, J, :, :] = blocks
+        return out.reshape(lead + (dim, dim))
+
+    s0, s1, s2, s3 = map(_dense, _STOKES_POL)
 
     def integrate(self, which: str) -> QuadraticOperator:
         """Transverse integral int s_i(r_perp) d2r as a single operator."""
-        coeff = self.grid.integrate(getattr(self, which))
+        coeff = self._assemble(which, self.grid.integrate)
         return QuadraticOperator(self.basis, coeff)
 
 
@@ -146,19 +185,10 @@ def stokes_field(basis: PolarizedModeBasis, modes, grid: TransverseGrid,
             f"modes at wavenumbers {ks} in a basis at k = {basis.k}")
     U = np.stack([hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes],
                  axis=-1)
-    # Psi[m, m'] on the grid times (1, sigma_z, sigma_x, sigma_y)[j, j'] / 2,
-    # written block by block: the other 8 of the 16 (s, j, j') blocks are 0.
     # einsum rounds each complex product U_m^* U_m' as written; a broadcast
     # product may fuse its multiply-adds and differ in the last bit.
     Psi = np.einsum("xym,xyM->xymM", U.conj(), U)
-    pol = 0.5 * np.array([np.eye(2), [[1, 0], [0, -1]], [[0, 1], [1, 0]],
-                          [[0, -1j], [1j, 0]]])
-    nx, ny = grid.x.size, grid.y.size
-    s = np.zeros((4, nx, ny) + (basis.n_modes, 2) * 2, dtype=complex)
-    for i, j, J in zip(*np.nonzero(pol)):
-        np.multiply(Psi, pol[i, j, J], out=s[i, :, :, :, j, :, J])
-    s0, s1, s2, s3 = s.reshape(4, nx, ny, basis.dim, basis.dim)
-    return StokesField(basis=basis, grid=grid, s0=s0, s1=s1, s2=s2, s3=s3)
+    return StokesField(basis=basis, grid=grid, Psi=Psi)
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,30 @@ class TestConfigValidation:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("out", ["", "a\u0000b"])
+    def test_out_not_a_path_rejected(self, tmp_path, monkeypatch, capsys,
+                                     command, out):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, analyses=["rho-coefficients"])
+        extra = ["--param", "physics.a1", "--values", "0.1,0.2"] \
+            if command == "sweep" else []
+        assert main(["--out", out, command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir must be")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_out_stays_out_of_the_hash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, analyses=["stokes-map"])
+        assert main(["run", str(path)]) == 0
+        assert main(["--out", "elsewhere", "run", str(path)]) == 0
+        first, second = (json.loads((tmp_path / d / "summary.json")
+                                    .read_text())["config_hash"]
+                         for d in ("out", "elsewhere"))
+        assert first == second
+
 
 class TestUnwritableOutput:
     """Output that cannot be written exits 2 or 3 and leaves no directory."""

@@ -1,6 +1,7 @@
 """Tests for dressed plane waves and the Hermite-Gauss paraxial basis."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -237,6 +238,68 @@ class TestSeparableEvaluation:
             # one does not.
             np.testing.assert_allclose(got, want,
                                        rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def unguarded_eval(mode, x, y, z):
+    """Reference: hermite_gauss_eval without zeroing non-finite axis factors."""
+    x, y, z = np.asarray(x, dtype=float), np.asarray(y, dtype=float), float(z)
+    w = mode.waist(z)
+    q = -1.0 / w**2
+    if z != 0.0:
+        q = complex(q, mode.k / (2.0 * (z + mode.z0**2 / z)))
+    gouy = (mode.m + mode.n + 1) * np.arctan(z / mode.z0)
+    c = mode.B * (mode.w0 / w) * np.exp(1j * (mode.k * z - gouy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ux = _eval_hermite(mode.m, np.sqrt(2.0) * x / w) * np.exp(q * x**2)
+        uy = _eval_hermite(mode.n, np.sqrt(2.0) * y / w) * np.exp(q * y**2)
+        return c * ux * uy
+
+
+class TestFarTail:
+    """Far out at high order the value is 0, not nan, and no warning."""
+
+    @pytest.mark.parametrize("z", [0.0, 0.3])
+    @pytest.mark.parametrize("x", [90.0, 200.0, -200.0, np.inf, -np.inf])
+    def test_order_149_far_out_is_zero(self, x, z):
+        mode = HermiteGaussMode(MAX_ORDER, 0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hermite_gauss_eval(mode, x, 0.0, z) == 0.0
+            assert hermite_gauss_eval(
+                HermiteGaussMode(0, MAX_ORDER, 1.0, 1.0), 0.0, x, z) == 0.0
+
+    @pytest.mark.parametrize("z", [0.0, 0.3])
+    def test_grid_far_out_is_finite_without_warning(self, z):
+        grid = make_grid(1.0, extent_factor=200.0, n=101)
+        for m, n in [(MAX_ORDER, 0), (0, MAX_ORDER), (75, 74)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = hermite_gauss_eval(HermiteGaussMode(m, n, 1.0, 1.0),
+                                         grid.X, grid.Y, z)
+            assert np.isfinite(got).all(), (m, n)
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("m, n", [(0, 0), (20, 0), (40, 40), (149, 0),
+                                      (0, 149), (100, 10)])
+    def test_bits_kept_where_unguarded_is_finite(self, m, n, z):
+        mode = HermiteGaussMode(m, n, 7.0, 1.3)
+        x = np.linspace(-220.0, 220.0, 2001)
+        for args in [(x, 0.4), (0.4, x), (x[:, None], x[None, ::40])]:
+            got, want = hermite_gauss_eval(mode, *args, z), \
+                unguarded_eval(mode, *args, z)
+            finite = np.isfinite(want)
+            np.testing.assert_array_equal(bits(got[finite]),
+                                          bits(want[finite]))
+            assert (got[~finite] == 0.0).all()
+        for a in (0.4, 3.0, 27.0):
+            assert bits(hermite_gauss_eval(mode, a, -a, z)) \
+                .tobytes() == bits(unguarded_eval(mode, a, -a, z)).tobytes()
+
+    def test_nan_coordinate_stays_nan(self):
+        mode = HermiteGaussMode(MAX_ORDER, 0, 1.0, 1.0)
+        for z in (0.0, 0.3):
+            assert np.isnan(hermite_gauss_eval(mode, np.nan, 0.0, z))
+            assert np.isnan(hermite_gauss_eval(mode, 0.0, np.nan, z))
 
 
 class TestHermiteGaussModeChecks:

@@ -1,5 +1,6 @@
 """Tests for the quadratic operator algebra and perturbative terms."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -107,6 +108,66 @@ class TestStokesField:
                  HermiteGaussMode(1, 0, ks[1], 1.0)]
         with pytest.raises(MixedWavenumbers, match="250.0"):
             stokes_field(basis, modes, make_grid(1.0, n=8))
+
+
+def dense_stokes_fields(basis, modes, grid, z):
+    """Reference: the four (nx, ny, D, D) fields, built densely.
+
+    Each of the 8 nonzero (s, j, j') blocks, Psi times its polarization
+    factor, is written into a zeroed array.
+    """
+    U = np.stack([hermite_gauss_eval(md, grid.X, grid.Y, z) for md in modes],
+                 axis=-1)
+    Psi = np.einsum("xym,xyM->xymM", U.conj(), U)
+    pol = 0.5 * np.array([np.eye(2), [[1, 0], [0, -1]], [[0, 1], [1, 0]],
+                          [[0, -1j], [1j, 0]]])
+    nx, ny = grid.x.size, grid.y.size
+    s = np.zeros((4, nx, ny) + (basis.n_modes, 2) * 2, dtype=complex)
+    for i, j, J in zip(*np.nonzero(pol)):
+        np.multiply(Psi, pol[i, j, J], out=s[i, :, :, :, j, :, J])
+    return s.reshape(4, nx, ny, basis.dim, basis.dim)
+
+
+class TestStokesFieldFromOverlaps:
+    """StokesField holds Psi and gives the dense construction's bits."""
+
+    NAMES = ("s0", "s1", "s2", "s3")
+
+    @staticmethod
+    def case(n, M, z):
+        k = 30.0
+        modes = [HermiteGaussMode(m, order - m, k, 1.0)
+                 for order in range(4) for m in range(order + 1)][:M]
+        basis = PolarizedModeBasis(n_modes=M, k=k)
+        grid = make_grid(1.0, n=n)
+        return (stokes_field(basis, modes, grid, z=z),
+                dense_stokes_fields(basis, modes, grid, z))
+
+    @pytest.mark.parametrize("z", [0.0, 0.37])
+    @pytest.mark.parametrize("M", [1, 3, 10])
+    @pytest.mark.parametrize("n", [8, 12, 33])
+    def test_fields_and_integrals_bit_identical(self, n, M, z):
+        field, dense = self.case(n, M, z)
+        for name, ref in zip(self.NAMES, dense):
+            got = getattr(field, name)
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert got.tobytes() == ref.tobytes(), name
+            want = field.grid.integrate(ref)
+            assert field.integrate(name).coeff.tobytes() == want.tobytes(), \
+                name
+
+    @pytest.mark.parametrize("M", [1, 3, 10])
+    def test_holds_psi_and_no_dense_field(self, M):
+        field, _ = self.case(12, M, 0.37)
+        assert field.Psi.shape == (12, 12, M, M)
+        for f in dataclasses.fields(field):
+            assert np.shape(getattr(field, f.name)) \
+                != (12, 12, 2 * M, 2 * M), f.name
+
+    def test_dense_field_built_on_each_read(self):
+        field, _ = self.case(8, 3, 0.0)
+        assert field.s1 is not field.s1
+        assert field.s1.tobytes() == field.s1.tobytes()
 
 
 class TestDenseTensors:
