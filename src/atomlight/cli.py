@@ -14,7 +14,7 @@ Config schema (JSON; unknown keys anywhere are errors):
       },
       "modes": {"max_order": 2,          // int, 0 <= n <= 149 (MAX_ORDER)
                 "k": 7.4e6},             // finite, > 0
-      "physics": {"beta": 1e-3, "c0": 0.0, "c1": 1.0,   // finite numbers
+      "physics": {"beta": 1e-3, "c1": 1.0,   // finite numbers
                   "a0": 1.0, "a1": 0.3,
                   "column_rho_jz": 0.0,
                   "stokes_in": [1.0, 0.0, 0.0],         // three finite numbers
@@ -28,13 +28,15 @@ Config schema (JSON; unknown keys anywhere are errors):
 
 Exit codes: 0 success, 2 config error or output that cannot be written,
 3 analysis error.  A run or sweep computes every analysis before it
-creates the output directory, so one that fails writes nothing.  Outputs are
-bit-identical for identical config and seed; every artifact starts with
-a header block carrying the config hash, the seed, and the versions of
-this package and its numeric dependencies.  A --out value must pass the
-output_dir rule; unlike output_dir, it does not enter the config hash.
-A sweep's hash covers the base config, the swept parameter and the
-value list.  Every sweep point is checked before any point runs: the
+creates the output directory, so one that fails writes nothing; that
+includes a stokes-map or memory-protocol result that overflows, which
+exits 3 naming its inputs rather than writing an inf or NaN cell.
+Outputs are bit-identical for identical config and seed; every artifact
+starts with a header block carrying the config hash, the seed, and the
+versions of atomlight and numpy, the one package it runs on.  --out
+overrides output_dir, as --seed overrides seed, and output_dir stays out
+of the config hash.  A sweep's hash covers the base config, the swept
+parameter and the value list.  Every sweep point is checked before any point runs: the
 first with all the checks of a loaded config, each later one with the
 check of the swept field alone (the whole scenario check for a scenario
 field), since no other value changed.  An integral value such as 3.0
@@ -55,17 +57,18 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dynamics import (GaussianState, QuadratureOrdering, apply_collective_map,
                        collective_map_matrix, memory_protocol,
                        paraxial_stokes_map, symplectic_residual)
-from .errors import AnalysisFailed, AtomLightError, BadParameterPath, ConfigInvalid
+from .errors import (AnalysisFailed, AtomLightError, BadParameterPath,
+                     ConfigInvalid, OutsideDomain)
 from .modes import MAX_ORDER
 from .pointgas import (MAX_STREAMS, MIN_BATCHES, PROFILES, density_correlation,
                        stream_keys)
@@ -108,9 +111,9 @@ _FIELDS = {
     "analyses": ([], lambda v: isinstance(v, list), "a list"),
     "modes.max_order": (2, *_integer(0, MAX_ORDER + 1)),
     "modes.k": (7.4e6, *_POSITIVE),
-    "physics.beta": (1e-3, *_FINITE), "physics.c0": (0.0, *_FINITE),
-    "physics.c1": (1.0, *_FINITE), "physics.a0": (1.0, *_FINITE),
-    "physics.a1": (0.3, *_FINITE), "physics.column_rho_jz": (0.0, *_FINITE),
+    "physics.beta": (1e-3, *_FINITE), "physics.c1": (1.0, *_FINITE),
+    "physics.a0": (1.0, *_FINITE), "physics.a1": (0.3, *_FINITE),
+    "physics.column_rho_jz": (0.0, *_FINITE),
     "physics.stokes_in": ([1.0, 0.0, 0.0], *_TRIPLE),
     "physics.gain": (None, lambda v: v is None or _is_finite(v),
                      "null or a finite number"),
@@ -197,12 +200,17 @@ def config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _provenance(hashed, seed: int) -> dict:
-    """Header block of every artifact: hash of `hashed`, seed, versions."""
-    return {"config_hash": config_hash(hashed), "seed": seed,
-            "versions": {"atomlight": __version__,
-                         "numpy": np.__version__,
-                         "scipy": scipy.__version__}}
+def _provenance(cfg: dict, **swept) -> dict:
+    """Header block of every artifact: config hash, seed, versions.
+
+    The hash covers cfg without output_dir, which moves the artifacts
+    and changes none, and a sweep's parameter and value list.
+    """
+    hashed = {k: v for k, v in cfg.items() if k != "output_dir"}
+    if swept:
+        hashed = {"config": hashed, **swept}
+    return {"config_hash": config_hash(hashed), "seed": cfg["seed"],
+            "versions": {"atomlight": __version__, "numpy": np.__version__}}
 
 
 def _fmt(v) -> str:
@@ -260,6 +268,30 @@ def _reads(*paths):
     return decorate
 
 
+def _finite(*paths):
+    """Make an analysis raise OutsideDomain, naming paths, where it overflows.
+
+    An inf or NaN cell, a Python float overflow and a numpy overflow or
+    invalid operation each count, and numpy warns of none of them.
+    """
+    def decorate(analysis):
+        @functools.wraps(analysis)
+        def checked(cfg: dict):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    result = analysis(cfg)
+                if all(math.isfinite(v) for row in result[1] for v in row):
+                    return result
+            except (FloatingPointError, OverflowError):
+                pass
+            given = ", ".join(f"{path} = {cfg[section][key]!r}"
+                              for path in paths
+                              for section, key in [path.split(".")])
+            raise OutsideDomain(f"no finite result at {given}")
+        return checked
+    return decorate
+
+
 # The CSV columns of each analysis, in the order of the cells of its rows.
 _RHO_COLUMNS = ("a0", "a1", "rho_par_closed", "rho_perp_closed",
                 "rho_gamma_closed", "rho_par_quad", "rho_perp_quad",
@@ -289,6 +321,8 @@ def _analysis_rho(cfg: dict):
 
 @_reads("physics.c1", "physics.beta", "physics.column_rho_jz",
         "physics.stokes_in", "modes.k")
+@_finite("physics.c1", "physics.beta", "physics.column_rho_jz",
+         "physics.stokes_in", "modes.k")
 def _analysis_stokes(cfg: dict):
     ph = cfg["physics"]
     phi = float(ph["c1"]) * float(ph["beta"]) * float(ph["column_rho_jz"]) \
@@ -300,6 +334,7 @@ def _analysis_stokes(cfg: dict):
 
 
 @_reads("scenario.kappa", "physics.gain")
+@_finite("scenario.kappa")
 def _analysis_memory(cfg: dict):
     kappa = float(cfg["scenario"]["kappa"])
     gain = cfg["physics"]["gain"]
@@ -382,7 +417,7 @@ def run(cfg: dict, out_dir) -> dict:
     results = [(name, _analyse(name, cfg, memo)) for name in cfg["analyses"]]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    provenance = _provenance(cfg, cfg["seed"])
+    provenance = _provenance(cfg)
     summary = {"analyses": {}}
     for name, (metrics, rows, fieldnames) in results:
         _write_csv(out / f"{name}.csv", provenance, fieldnames,
@@ -437,8 +472,7 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
             _check_field(point, param)
         elif param.startswith("scenario."):
             _check_scenario(point)
-    provenance = _provenance(
-        {"config": cfg, "param": param, "values": values}, cfg["seed"])
+    provenance = _provenance(cfg, param=param, values=values)
     # An analysis listed twice gives its columns once.
     names = dict.fromkeys(point["analyses"])
     stale = [_RUNNERS[name].__name__ for name in names
@@ -499,18 +533,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-            _check_field(cfg, "seed")
-        out_dir = cfg["output_dir"]
-        if args.out is not None:
-            # The output_dir rule, on a value kept out of the config hash.
-            out_dir = args.out
-            _check_field({"output_dir": out_dir}, "output_dir")
+        for field, value in (("seed", args.seed), ("output_dir", args.out)):
+            if value is not None:
+                cfg[field] = value
+                _check_field(cfg, field)
         if args.command == "run":
-            run(cfg, out_dir)
+            run(cfg, cfg["output_dir"])
         else:
-            sweep(cfg, args.param, _parse_values(args.values), out_dir)
+            sweep(cfg, args.param, _parse_values(args.values),
+                  cfg["output_dir"])
     except (ConfigInvalid, BadParameterPath) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

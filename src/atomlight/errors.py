@@ -30,7 +30,12 @@ class MixedWavenumbers(AtomLightError):
 
 
 class OutsideDomain(AtomLightError):
-    """Short-propagator coefficients need a0 - a1 > 0."""
+    """Inputs outside the domain where a result is finite.
+
+    The short-propagator coefficients need 0 <= a1 < a0 and an entry
+    that does not overflow; a CLI analysis raises it where a cell would
+    be inf or NaN.
+    """
 
 
 class ZeroSeparation(AtomLightError):

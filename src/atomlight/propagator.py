@@ -4,7 +4,9 @@ Covers the equal-position delta-in-time ("infinitely short") propagator
 of the polarized medium, both as a closed form and as a Gauss-Legendre
 quadrature oracle, the classic radiating-dipole propagator, truncated
 mode-sum Green's functions with a reciprocity residual, and the light
-and spin decay coefficients the short propagator feeds.
+and spin decay coefficients the short propagator feeds.  The
+independent k-space route to the dipole propagator, its reference,
+lives in the tests, so this module runs on numpy alone.
 
 Conventions: c = hbar = 1.  The short propagator is reported through
 the coefficient triple (rho_par, rho_perp, rho_gamma); the full matrix
@@ -190,69 +192,6 @@ def dipole_propagator(n_vec, k_L: float) -> np.ndarray:
 def dipole_self_term() -> float:
     """Coefficient of the delta(n)*I contact term of the dipole propagator."""
     return 2.0 / 3.0
-
-
-def dipole_propagator_kspace(n_vec, k_L: float, k_max: float = 400.0,
-                             n_radial: int = 400_000) -> np.ndarray:
-    """Independent k-space route to the radiative dipole propagator.
-
-    Evaluates  int d^3k/(2pi)^3 (I - khat khat) k^2 e^{ik.n} /
-    (k^2 - k_L^2 - i eta)  for n != 0.  The angular integral is done
-    analytically,
-
-        int dOmega (I - khat khat) e^{ik.n} =
-            4 pi [ (2 j0(kn) - j2(kn))/3 * I + j2(kn) * nhat nhat^T ],
-
-    and the radial weight is split as k^4/(k^2-k_L^2) = (k^2 + k_L^2)
-    + k_L^4/(k^2-k_L^2).  The polynomial part is evaluated with its
-    Abel-regularized moments (int j0 = pi/2n, int k^2 j0 = 0,
-    int j2 = pi/4n, int k^2 j2 = 3pi/2n^3); the remainder converges and
-    is integrated as a principal value with the outgoing-wave residue
-    +i pi g(k_L)/(2 k_L) added.
-    """
-    n_vec = np.asarray(n_vec, dtype=float)
-    n = np.linalg.norm(n_vec)
-    if n == 0:
-        raise ZeroSeparation("k-space oracle undefined at zero separation")
-    n_hat = n_vec / n
-
-    from scipy.special import spherical_jn
-
-    k = np.linspace(0.0, k_max, n_radial)
-    kn = k * n
-    j0 = spherical_jn(0, kn)
-    j2 = spherical_jn(2, kn)
-    A = (2.0 * j0 - j2) / 3.0     # coefficient on I
-    B = j2                        # coefficient on nhat nhat^T
-
-    denom = k**2 - k_L**2
-    knL = k_L * n
-    gA = (2.0 * spherical_jn(0, knL) - spherical_jn(2, knL)) / 3.0
-    gB = spherical_jn(2, knL)
-
-    def pv_plus_residue(g, gL):
-        reg = np.where(np.abs(denom) > 1e-300, (g - gL) / denom, 0.0)
-        # second-order hole filling at the pole: derivative of g there
-        i0 = np.argmin(np.abs(k - k_L))
-        reg[i0] = (reg[i0 - 1] + reg[i0 + 1]) / 2.0
-        pv = np.trapezoid(reg, k)
-        # int_0^kmax dk/(k^2 - kL^2) (PV) = (1/2kL) ln((kmax-kL)/(kmax+kL))
-        pv += gL / (2.0 * k_L) * np.log((k_max - k_L) / (k_max + k_L))
-        return pv + 1j * np.pi * gL / (2.0 * k_L)
-
-    pref = k_L**4 / (2.0 * np.pi**2)
-    IA = pref * pv_plus_residue(A, gA)
-    IB = pref * pv_plus_residue(B, gB)
-
-    # Abel-regularized polynomial-part moments for n > 0.
-    int_j0 = np.pi / (2.0 * n)          # int_0^inf j0(kn) dk
-    int_k2_j2 = 3.0 * np.pi / (2.0 * n**3)
-    int_j2 = np.pi / (4.0 * n)
-    poly_j0 = k_L**2 * int_j0           # (k^2 + k_L^2) channel, j0 part
-    poly_j2 = int_k2_j2 + k_L**2 * int_j2
-    IA += (1.0 / (2.0 * np.pi**2)) * (2.0 * poly_j0 - poly_j2) / 3.0
-    IB += (1.0 / (2.0 * np.pi**2)) * poly_j2
-    return IA * np.eye(3) + IB * np.outer(n_hat, n_hat)
 
 
 @dataclass(frozen=True)

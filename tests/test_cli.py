@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -83,8 +84,9 @@ class TestConfigValidation:
         ({"grid": {"points": 64, "extent_factor": 6.0}}, []),
         ({"modes": {"w0": 1e-3}}, []),
         ({"modes": {"family": "hermite-gauss"}}, []),
+        ({"physics": {"c0": 0.5}}, []),
         ({}, ["--threads", "2"]),
-    ], ids=["grid", "modes.w0", "modes.family", "--threads"])
+    ], ids=["grid", "modes.w0", "modes.family", "physics.c0", "--threads"])
     def test_removed_surface_rejected(self, tmp_path, overrides, argv):
         path = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -97,7 +99,7 @@ class TestConfigValidation:
             analyses=list(ANALYSES),
             scenario={**BASE_CONFIG["scenario"], "density": 1e17},
             modes={"max_order": 3, "k": 8e6},
-            physics={"beta": 2e-3, "c0": 0.5, "c1": 0.9, "a0": 1.2,
+            physics={"beta": 2e-3, "c1": 0.9, "a0": 1.2,
                      "a1": 0.4, "column_rho_jz": 1e-4,
                      "stokes_in": [0.0, 1.0, 0.0], "gain": -0.5},
             pointgas={"n_atoms": 20, "n_clouds": 16, "profile": "gaussian",
@@ -315,6 +317,22 @@ class TestConfigValidation:
                          for d in ("out", "elsewhere"))
         assert first == second
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_output_dir_stays_out_of_the_hash(self, tmp_path, monkeypatch,
+                                              command):
+        monkeypatch.chdir(tmp_path)
+        extra = ["--param", "physics.beta", "--values", "1e-3,2e-3"] \
+            if command == "sweep" else []
+        heads = []
+        for output_dir in ("out", "b"):
+            path = write_config(tmp_path, analyses=["stokes-map"],
+                                output_dir=output_dir)
+            assert main([command, str(path)] + extra) == 0
+            name = "sweep_physics_beta.csv" if extra else "stokes-map.csv"
+            heads.append((tmp_path / output_dir / name).read_text()
+                         .splitlines()[:3])
+        assert heads[0] == heads[1]
+
 
 class TestUnwritableOutput:
     """Output that cannot be written exits 2 or 3 and leaves no directory."""
@@ -355,6 +373,80 @@ class TestUnwritableOutput:
         out = tmp_path / "out"
         assert main(self.argv(out, "sweep", path, "0.3,1.0")) == 3
         assert not out.exists()
+
+
+def quiet_main(argv):
+    """main's return code, with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+class TestFiniteCells:
+    """stokes-map and memory-protocol write finite cells or exit 3."""
+
+    @pytest.mark.parametrize("physics", [
+        {"beta": 1e300, "column_rho_jz": 1e300},
+        {"beta": 1e100, "column_rho_jz": 1e50},
+        {"beta": 1.0, "column_rho_jz": 1e3, "stokes_in": [1e300, 1e300, 0.0]},
+    ], ids=["phi-inf", "phi-squared", "s-times-phi"])
+    def test_stokes_overflow_exits_3(self, tmp_path, capsys, physics):
+        path = write_config(tmp_path, analyses=["stokes-map"],
+                            physics=physics)
+        out = tmp_path / "out"
+        assert quiet_main(["--out", str(out), "run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: no finite result at "
+                              "physics.c1 = 1.0, physics.beta = ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kappa", [
+        5e-324, -5e-324, 1e-310, 1e78, 1e100, 1e153, 1e160, 1e200, -1e300])
+    def test_memory_overflow_exits_3(self, tmp_path, capsys, kappa):
+        # -1/kappa (the gain) overflows below about 5.6e-309; the
+        # conditioning's outer product holds (kappa**2 / 2)**2.
+        path = write_config(tmp_path, analyses=["memory-protocol"],
+                            scenario={**BASE_CONFIG["scenario"],
+                                      "kappa": kappa})
+        out = tmp_path / "out"
+        assert quiet_main(["--out", str(out), "run", str(path)]) == 3
+        assert capsys.readouterr().err == ("analysis error: no finite result "
+                                           f"at scenario.kappa = {kappa!r}\n")
+        assert not out.exists()
+
+    def test_memory_overflow_sweep_writes_nothing(self, tmp_path):
+        path = write_config(tmp_path, analyses=["memory-protocol"])
+        out = tmp_path / "out"
+        assert quiet_main(["--out", str(out), "sweep", str(path), "--param",
+                           "scenario.kappa", "--values", "1,1e200"]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, section, values", [
+        ("memory-protocol", "scenario",
+         [{"kappa": k} for k in (1e-300, -1e-200, 0.0, 1.0, 1e8, 1e77,
+                                 -1e77)]),
+        ("stokes-map", "physics",
+         ({"beta": 1e300, "column_rho_jz": 1e-300},
+          {"beta": 1e3, "column_rho_jz": 1e-4},
+          {"beta": -1e300, "column_rho_jz": 1e300, "c1": 0.0},
+          {"beta": 1e-300, "column_rho_jz": 1e-300,
+           "stokes_in": [1e300, -1e300, 1.0]})),
+    ])
+    def test_finite_results_keep_their_bits(self, tmp_path, name, section,
+                                            values):
+        runner = cli._RUNNERS[name]
+        for value in values:
+            cfg = full_config(tmp_path)
+            cfg[section].update(value)
+            metrics, rows, _ = runner(cfg, {})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                unchecked = runner.__wrapped__.__wrapped__(cfg)
+            assert (metrics, rows) == unchecked[:2], value
+            assert all(np.isfinite(v) for v in rows[0]), value
+            assert np.array(rows[0]).tobytes() \
+                == np.array(unchecked[1][0]).tobytes()
 
 
 class TestUnreadableInput:
@@ -855,7 +947,6 @@ class TestSweptPathDecidesReuse:
     """A sweep re-evaluates only the analyses that read the swept path."""
 
     @pytest.mark.parametrize("param, values, every_point", [
-        ("physics.c0", [0.0, 1.0, -2.0, 0.5], ()),
         ("scenario.n_photons", [1e8, 1e6, 1e10, 1e8], ("check_light_series",)),
         ("seed", [3, 3, 4, 3], ("density_correlation",)),
         ("scenario.kappa", [0.0, 0.5, -0.0, 1.0],
@@ -894,7 +985,7 @@ class TestSweepPointChecks:
     def test_section_checks_agree_with_whole_check(self, tmp_path, bad):
         cfg = full_config(tmp_path)
         paths = list(scalar_paths(cfg))
-        assert len(paths) == 25
+        assert len(paths) == 24
         for i, param in enumerate(paths):
             point = copy.deepcopy(cfg)
             node, key = _resolve_path(point, param)
@@ -927,6 +1018,14 @@ class TestFieldRules:
         cfg = self.load_empty(tmp_path)
         for dotted in cli._FIELDS:
             cli._check_field(cfg, dotted)
+
+    def test_every_field_is_read_by_an_analysis(self):
+        reads = [path for runner in cli._RUNNERS.values()
+                 for path in runner.reads]
+        for dotted in cli._FIELDS:
+            if dotted not in ("output_dir", "analyses"):
+                assert any(dotted == path or dotted.startswith(path + ".")
+                           for path in reads), dotted
 
     def test_empty_config_loads_exactly_the_row_defaults(self, tmp_path):
         expected = {"scenario": None}
@@ -1010,6 +1109,31 @@ class TestModuleEntryPoint:
                           "--help")
         assert proc.returncode == 0, proc.stderr
         assert "usage" in proc.stdout
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # A None entry in sys.modules makes every import of scipy fail.
+        config = tmp_path / "five.json"
+        config.write_text(json.dumps({
+            **BASE_CONFIG, "analyses": list(ANALYSES),
+            "pointgas": {"n_atoms": 10, "n_clouds": 16}}))
+        run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+        proc = run_python("-c", "\n".join([
+            "import sys",
+            "sys.modules['scipy'] = None",
+            "from atomlight import cli",
+            f"assert cli.main(['--out', {str(run_out)!r}, 'run', "
+            f"{str(config)!r}]) == 0",
+            f"assert cli.main(['--out', {str(sweep_out)!r}, 'sweep', "
+            f"{str(config)!r}, '--param', 'physics.a1', "
+            "'--values', '0.1,0.5']) == 0",
+            "assert sys.modules['scipy'] is None"]))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in run_out.iterdir()) == sorted(
+            [f"{name}.csv" for name in ANALYSES] + ["summary.json"])
+        assert len(read_csv_rows(sweep_out / "sweep_physics_a1.csv")) == 2
+        versions = (run_out / "summary.json").read_text()
+        assert json.loads(versions)["versions"] == {
+            "atomlight": atomlight.__version__, "numpy": np.__version__}
 
     @pytest.mark.parametrize("module", ["atomlight", "atomlight.cli"])
     def test_import_leaves_scipy_special_unloaded(self, module):
