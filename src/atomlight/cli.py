@@ -34,15 +34,16 @@ exits 3 naming its inputs rather than writing an inf or NaN cell.
 Outputs are bit-identical for identical config and seed; every artifact
 starts with a header block carrying the config hash, the seed, and the
 versions of atomlight and numpy, the one package it runs on.  --out
-overrides output_dir, as --seed overrides seed, and output_dir stays out
-of the config hash.  A sweep's hash covers the base config, the swept
-parameter and the value list.  Every sweep point is checked before any point runs: the
-first with all the checks of a loaded config, each later one with the
-check of the swept field alone (the whole scenario check for a scenario
-field), since no other value changed.  An integral value such as 3.0
-may set an integer field.  The swept path also decides reuse: a sweep
-re-evaluates at each point only the analyses that declare --param or a
-section holding it, and reuses every other result from the first point.
+overrides output_dir, as --seed overrides seed, and output_dir stays
+out of the config hash.  A sweep's hash covers the base config, the
+swept parameter and the value list.  Every sweep point is checked
+before any point runs: the first with all the checks of a loaded
+config, each later one with the check of the swept field alone (the
+whole scenario check for a scenario field), since no other value
+changed.  An integral value such as 3.0 may set an integer field.
+The swept path also decides reuse: a sweep re-evaluates at each point
+only the analyses that declare --param or a section holding it, and
+reuses every other result from the first point.
 A --values entry that is not a number, a config path that cannot be
 read as a file and a config that is not UTF-8 are config errors
 (exit 2), like a bad config value.

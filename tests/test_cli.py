@@ -317,18 +317,19 @@ class TestConfigValidation:
                          for d in ("out", "elsewhere"))
         assert first == second
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("command, extra, name", [
+        ("run", [], "stokes-map.csv"),
+        ("sweep", ["--param", "physics.beta", "--values", "1e-3,2e-3"],
+         "sweep_physics_beta.csv"),
+    ], ids=["run", "sweep"])
     def test_output_dir_stays_out_of_the_hash(self, tmp_path, monkeypatch,
-                                              command):
+                                              command, extra, name):
         monkeypatch.chdir(tmp_path)
-        extra = ["--param", "physics.beta", "--values", "1e-3,2e-3"] \
-            if command == "sweep" else []
         heads = []
         for output_dir in ("out", "b"):
             path = write_config(tmp_path, analyses=["stokes-map"],
                                 output_dir=output_dir)
             assert main([command, str(path)] + extra) == 0
-            name = "sweep_physics_beta.csv" if extra else "stokes-map.csv"
             heads.append((tmp_path / output_dir / name).read_text()
                          .splitlines()[:3])
         assert heads[0] == heads[1]
@@ -413,13 +414,6 @@ class TestFiniteCells:
         assert quiet_main(["--out", str(out), "run", str(path)]) == 3
         assert capsys.readouterr().err == ("analysis error: no finite result "
                                            f"at scenario.kappa = {kappa!r}\n")
-        assert not out.exists()
-
-    def test_memory_overflow_sweep_writes_nothing(self, tmp_path):
-        path = write_config(tmp_path, analyses=["memory-protocol"])
-        out = tmp_path / "out"
-        assert quiet_main(["--out", str(out), "sweep", str(path), "--param",
-                           "scenario.kappa", "--values", "1,1e200"]) == 3
         assert not out.exists()
 
     @pytest.mark.parametrize("name, section, values", [
@@ -947,6 +941,7 @@ class TestSweptPathDecidesReuse:
     """A sweep re-evaluates only the analyses that read the swept path."""
 
     @pytest.mark.parametrize("param, values, every_point", [
+        ("output_dir", ["a", "b", "a"], ()),
         ("scenario.n_photons", [1e8, 1e6, 1e10, 1e8], ("check_light_series",)),
         ("seed", [3, 3, 4, 3], ("density_correlation",)),
         ("scenario.kappa", [0.0, 0.5, -0.0, 1.0],
@@ -1131,8 +1126,8 @@ class TestModuleEntryPoint:
         assert sorted(p.name for p in run_out.iterdir()) == sorted(
             [f"{name}.csv" for name in ANALYSES] + ["summary.json"])
         assert len(read_csv_rows(sweep_out / "sweep_physics_a1.csv")) == 2
-        versions = (run_out / "summary.json").read_text()
-        assert json.loads(versions)["versions"] == {
+        summary = json.loads((run_out / "summary.json").read_text())
+        assert summary["versions"] == {
             "atomlight": atomlight.__version__, "numpy": np.__version__}
 
     @pytest.mark.parametrize("module", ["atomlight", "atomlight.cli"])
