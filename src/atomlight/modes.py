@@ -12,22 +12,22 @@ weights through which the atoms see mode interference.
 
 `hermite_gauss_eval` uses that a Hermite-Gaussian mode separates in x
 and y (Siegman, Lasers, ch. 16): U = c * u_m(x) * u_n(y), where each
-axis factor H(sqrt(2) x/w) e^(q x^2) carries the Gaussian envelope and
-the wavefront curvature, and the scalar c carries the normalization,
-the Gouy phase and the k z phase.  Exponentials run on the 1-D axes
-only, and the large k z enters once, in c.
+axis factor carries the Gaussian envelope and the wavefront curvature,
+and the scalar c carries the waist scale, the Gouy phase and the k z
+phase.  Exponentials run on the 1-D axes only, and the large k z enters
+once, in c.
 
 `mode_values` stacks a shared-k basis on a grid, and `TransverseGrid.weights`
 holds the trapezoid weights of `TransverseGrid.integrate`.  Overlap fields
 and the collective commutator are products of these two.
 
-The Hermite polynomials come from `_eval_hermite`, a numpy copy of
-scipy.special.eval_hermite: H_n(x) = He_n(sqrt(2) x) 2^(n/2), with He_n
-from the downward three-term recurrence of scipy's orthogonal_eval.pxd
-in the same operation order.  It gives the same bits as scipy, which the
-tests check, without the cost of importing scipy.special; the textbook
-recurrence H_(k+1) = 2x H_k - 2k H_(k-1) differs from it by up to 1e-13
-relative at order 20.
+An axis factor is the normalized Hermite function phi_n at
+xi = sqrt(2) v/w, from phi_n = sqrt(2/n) xi phi_(n-1) - sqrt((n-1)/n) phi_(n-2)
+(Bunck, BIT 49, 281 (2009); Gil, Segura & Temme, Numerical Methods for
+Special Functions, SIAM 2007), with no factorial and no overflow.  The
+recurrence starts from phi_0 = pi^(-1/4) e^(-xi^2/4), and its result is
+multiplied by the other half of the envelope e^(-xi^2/2), so a value that
+is a normal float stays one.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from .errors import DegenerateGeometry, MixedWavenumbers
 from .medium import cross_matrix
 
 DEGENERACY_TOL = 1e-12
-# The highest mode order m + n whose normalization B is a positive finite
-# float: from order 150, pi * 2**(m + n) * m! * n! overflows at n = 0.
+# The highest mode order m + n that HermiteGaussMode accepts, and so the
+# bound of the CLI's `modes.max_order` and of `regime.check_fresnel_basis`.
+# The axis recurrence itself has no order limit.
 MAX_ORDER = 149
 
 
@@ -109,27 +110,6 @@ def dressed_modes(k_hat, j_hat, a0: float, a1: float, k: float = 1.0,
     return branches[0], branches[1]
 
 
-def _eval_hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x), bit for bit as scipy's.
-
-    Like scipy.special.eval_hermite for an integer n >= 0, NaN x gives
-    NaN at every n, including n = 0.
-    """
-    n = operator.index(n)
-    t = math.sqrt(2.0) * np.asarray(x, dtype=float)
-    if n == 0:
-        he = np.where(np.isnan(t), t, 1.0)
-    elif n == 1:
-        he = t
-    else:
-        # scipy's first step (k = n) gives y3 = 1 and y2 = t exactly.
-        y3, y2 = 1.0, t
-        for k in range(n - 1, 1, -1):
-            y3, y2 = y2, t * y2 - k * y3
-        he = t * y2 - y3
-    return he * 2.0 ** (n / 2.0)
-
-
 def _is_mode_index(value) -> bool:
     """True for a nonnegative integer; bools and floats are not indices."""
     if isinstance(value, bool):
@@ -159,65 +139,65 @@ class HermiteGaussMode:
                              f"{self.m!r}, {self.n!r}")
         if not all(math.isfinite(v) and v > 0 for v in (self.w0, self.k)):
             raise ValueError("w0 and k must be finite and positive")
+        if not (math.isfinite(self.z0) and self.z0 > 0):
+            raise ValueError(f"Rayleigh range k*w0^2/2 = {self.z0!r} must be "
+                             "finite and positive")
 
     @property
     def z0(self) -> float:
         """Rayleigh range pi*w0^2/lambda = k*w0^2/2."""
-        return 0.5 * self.k * self.w0**2
-
-    @property
-    def B(self) -> float:
-        """Peak normalization giving unit transverse L2 norm at every z."""
-        m, n = self.m, self.n
-        return math.sqrt(2.0 / (np.pi * 2.0**(m + n)
-                                * math.factorial(m) * math.factorial(n))) / self.w0
+        return 0.5 * self.k * (self.w0 * self.w0)
 
     def waist(self, z: float) -> float:
-        return self.w0 * np.sqrt(1.0 + (z / self.z0)**2)
+        return self.w0 * math.hypot(1.0, z / self.z0)
 
 
 def hermite_gauss_eval(mode: HermiteGaussMode, x, y, z):
-    """Evaluate U_mn at (x, y, z); x and y may be arrays, z a scalar.
+    """Evaluate U_mn at (x, y, z); x and y may be arrays, z a finite scalar.
 
     Gouy phase (m+n+1)*arctan(z/z0); wavefront curvature
-    R(z) = z + z0^2/z, taken flat at the waist (the 1/R phase vanishes
-    continuously as z -> 0).  The mode separates in x and y:
+    R(z) = z + z0^2/z, flat at the waist.  The mode separates in x and y:
 
-        U = c * [H_m(sqrt(2) x/w) e^(q x^2)] * [H_n(sqrt(2) y/w) e^(q y^2)],
+        U = c * u_m(x) * u_n(y),  u_j(v) = phi_j(sqrt(2) v/w) e^(i k v^2/2R),
 
-    with q = -1/w^2 + i k/(2R) (q = -1/w^2 at the waist) and the scalar
-    c = B (w0/w) e^(i (k z - gouy)).  Each factor is evaluated on its own
-    axis and the result costs one product of the two; the large k z
+    with the normalized Hermite functions phi_j and the scalar
+    c = (sqrt(2)/w) e^(i (k z - gouy)).  Each factor is evaluated on its
+    own axis and the result costs one product of the two; the large k z
     phase enters once, through c, and never meets the transverse phase.
-    An axis factor is 0 where it is not finite at a non-NaN coordinate:
-    far out at high order, where H overflows and the envelope is 0.
+    An infinite coordinate gives 0 and a NaN one NaN.  ValueError unless
+    z, k z and z/z0 are finite.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = float(z)
-    z0 = mode.z0
+    t = z / mode.z0
+    if not (math.isfinite(mode.k * z) and math.isfinite(t)):
+        raise ValueError(f"z, k*z and z/z0 must be finite, got z = {z!r}")
     w = mode.waist(z)
-    q = -1.0 / w**2
-    if z != 0.0:
-        R = z + z0**2 / z
-        q = complex(q, mode.k / (2.0 * R))
-    gouy = (mode.m + mode.n + 1) * np.arctan(z / z0)
-    c = mode.B * (mode.w0 / w) * np.exp(1j * (mode.k * z - gouy))
-    return c * _axis_factor(mode.m, x, w, q) * _axis_factor(mode.n, y, w, q)
+    gouy = (mode.m + mode.n + 1) * math.atan(t)
+    c = math.sqrt(2.0) / w * np.exp(1j * (mode.k * z - gouy))
+    with np.errstate(over="ignore"):      # a huge v / w gives the factor 0
+        return c * _axis_factor(mode.m, x / w, t) \
+            * _axis_factor(mode.n, y / w, t)
 
 
-def _axis_factor(order: int, v: np.ndarray, w: float, q) -> np.ndarray:
-    """H_order(sqrt(2) v/w) e^(q v^2) on one axis, 0 where it is not finite.
+def _axis_factor(order: int, s: np.ndarray, t: float) -> np.ndarray:
+    """phi_order(sqrt(2) s) e^(i k v^2/2R) at s = v/w; k v^2/2R = t s^2.
 
-    Far out at high order the Hermite recurrence overflows to inf or nan
-    where the envelope e^(q v^2) has underflowed to 0, so the product is
-    nan; the true value there is 0.  A NaN coordinate still gives NaN.
-    A scalar v gives a numpy scalar: an array complex product may fuse
-    multiply-adds, a scalar one does not.
+    Where the half envelope is 0, s is set to 0, so an infinite s gives 0,
+    not inf * 0; a NaN s stays NaN.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = _eval_hermite(order, np.sqrt(2.0) * v / w) * np.exp(q * v**2)
-    return np.where(np.isfinite(u) | np.isnan(v), u, 0.0)[()]
+    half = np.exp(-0.5 * s * s)              # e^(-xi^2/4), xi = sqrt(2) s
+    s = np.where(half == 0.0, 0.0, s)
+    xi = math.sqrt(2.0) * s
+    prev, phi = 0.0, np.pi ** -0.25 * half
+    for j in range(1, order + 1):
+        prev, phi = phi, math.sqrt(2.0 / j) * xi * phi \
+            - math.sqrt((j - 1) / j) * prev
+    u = phi * half
+    if t:
+        u = u * np.exp(1j * t * (s * s))
+    return u
 
 
 def mode_values(basis, x, y, z: float = 0.0) -> np.ndarray:
