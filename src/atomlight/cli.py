@@ -33,17 +33,17 @@ includes a stokes-map or memory-protocol result that overflows, which
 exits 3 naming its inputs rather than writing an inf or NaN cell.
 Outputs are bit-identical for identical config and seed; every artifact
 starts with a header block carrying the config hash, the seed, and the
-versions of atomlight and numpy, the one package it runs on.  --out
-overrides output_dir, as --seed overrides seed, and output_dir stays
-out of the config hash.  A sweep's hash covers the base config, the
-swept parameter and the value list.  Every sweep point is checked
-before any point runs: the first with all the checks of a loaded
-config, each later one with the check of the swept field alone (the
-whole scenario check for a scenario field), since no other value
-changed.  An integral value such as 3.0 may set an integer field.
-The swept path also decides reuse: a sweep re-evaluates at each point
-only the analyses that declare --param or a section holding it, and
-reuses every other result from the first point.
+versions of atomlight and numpy, the one package it runs on.  A CSV
+cell is a float to 17 significant digits or str of any other value,
+quoted as the csv module's excel dialect quotes it; each line ends in
+CRLF.  --out overrides output_dir, as --seed overrides seed, and
+output_dir stays out of the config hash.  A sweep's hash covers the
+base config, the swept parameter and the value list.  Every sweep
+point is checked before any point runs (see sweep).  An integral value
+such as 3.0 may set an integer field.  The swept path also decides
+reuse: a sweep re-evaluates at each point only the analyses that
+declare --param or a section holding it, and reuses every other
+result, and its rendered cells, from the first point.
 A --values entry that is not a number, a config path that cannot be
 read as a file and a config that is not UTF-8 are config errors
 (exit 2), like a bad config value.
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -214,21 +213,24 @@ def _provenance(cfg: dict, **swept) -> dict:
             "versions": {"atomlight": __version__, "numpy": np.__version__}}
 
 
-def _fmt(v) -> str:
-    return format(v, ".17g") if isinstance(v, float) else str(v)
+def _cell(v) -> str:
+    """A float to 17 digits, else str(v) quoted as csv.writer quotes it."""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_csv(path: Path, provenance: dict, header, lines) -> None:
-    """Write the provenance block, the header and rows of formatted cells."""
-    versions = "; ".join(f"{k} {v}"
-                         for k, v in provenance["versions"].items())
+    """Write the provenance block and the _cell-rendered rows, CRLF-ended."""
+    versions = "; ".join(map(" ".join, provenance["versions"].items()))
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={provenance['config_hash']}\n"
                  f"# seed={provenance['seed']}\n"
-                 f"# versions={versions}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(lines)
+                 f"# versions={versions}\n{','.join(map(_cell, header))}\r\n")
+        fh.writelines(f"{line}\r\n" for line in lines)
 
 
 def _write_json(path: Path, provenance: dict, payload: dict) -> None:
@@ -422,7 +424,7 @@ def run(cfg: dict, out_dir) -> dict:
     summary = {"analyses": {}}
     for name, (metrics, rows, fieldnames) in results:
         _write_csv(out / f"{name}.csv", provenance, fieldnames,
-                   ([_fmt(v) for v in row] for row in rows))
+                   (",".join(map(_cell, row)) for row in rows))
         summary["analyses"][name] = metrics
     _write_json(out / "summary.json", provenance, summary)
     return summary
@@ -452,10 +454,9 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
     created after the last point, so a failing analysis writes nothing
     either.  The first point passes all of _check_values; a later point
     differs from it only at param, so it passes param's _FIELDS rule
-    alone, or _check_scenario for a scenario path.  For the same reason
-    an analysis is re-evaluated at each point only if it reads param or
-    a section holding it; every other one returns its first point's
-    result, whose formatted CSV cells are reused.
+    alone, or _check_scenario for a scenario path, and an analysis reruns
+    only if it reads param or a section holding it.  A row is the value's
+    cell and each analysis's ",cell,..." text, rendered once per result.
     """
     values = list(values)
     point = copy.deepcopy(cfg)
@@ -484,15 +485,14 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
         node[key] = setting
         for runner_name in stale:
             memo.pop(runner_name, None)
-        cells = [_fmt(value)]
         for name in names:
             result = _analyse(name, point, memo)
             if last.get(name, (None,))[0] is not result:
                 if name not in last:
                     header += (f"{name}.{k}" for k in result[0])
-                last[name] = result, [_fmt(v) for v in result[0].values()]
-            cells += last[name][1]
-        lines.append(cells)
+                cells = map(_cell, result[0].values())
+                last[name] = result, ",".join(["", *cells])
+        lines.append(_cell(value) + "".join([last[n][1] for n in names]))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     safe = param.replace(".", "_")

@@ -57,14 +57,6 @@ def _check_domain(a0: float, a1: float, k_L: float) -> None:
                             f"finite k_L**3, got {a0}, {a1}, {k_L}")
 
 
-def _finite(triple: ShortPropagatorCoeffs, a0, a1, k_L) -> ShortPropagatorCoeffs:
-    """The triple, or OutsideDomain if an entry is inf or NaN."""
-    if math.isfinite(triple[0]) and math.isfinite(triple[1]) \
-            and math.isfinite(triple[2]):
-        return triple
-    raise OutsideDomain(f"triple not finite at a0={a0}, a1={a1}, k_L={k_L}")
-
-
 def short_propagator_closed(a0: float, a1: float, k_L: float) -> ShortPropagatorCoeffs:
     """Closed-form short-propagator coefficients for 0 <= a1 < a0.
 
@@ -125,29 +117,53 @@ def short_propagator_quadrature(a0: float, a1: float, k_L: float,
     entry is within 1.6e-13 of the largest entry of a 50-digit mpmath
     triple on 0 <= a1 < a0 at 128 nodes (4.2e-13 at 257).  The rule is
     built once per n_points per process; n_points=128.0 raises TypeError.
-    Raises OutsideDomain where an entry or the prefactor overflows.
+
+    Overflow rule: the prefactor runs on k_L's mantissa, and for a0
+    outside [2^-256, 2^256] the rule runs on A = a0 4^-j and B = a1 4^-j,
+    as in the closed form; each entry takes its power of two back in one
+    ldexp.  h, s t/a1 and b are ratios, so they keep their bits while B is
+    normal.  Inside that range j = 0, since pow is not exact under the
+    scaling (it moves about 6 in 10^4 of the a0 = 2.5 triples by an ulp),
+    and no unscaled intermediate leaves the normal range there.  So the
+    oracle no longer underflows at large a0; it raises OutsideDomain where
+    an entry overflows, and no entry can be inf or NaN.
     """
     if n_points < 64:
         raise ValueError("n_points must be at least 64")
     _check_domain(a0, a1, k_L)
     T, W = _gauss_legendre(operator.index(n_points))
-    st = math.sqrt(a0 - a1) * math.sqrt(a0 + a1)
-    h = 0.5 * math.log1p(2.0 * a1 / (a0 - a1))
-    # Where st/a1 is 0/0 (a1 = 0) or overflows, the a1 -> 0 limit is exact.
-    y, b, jac = ((st / a1) * np.expm1(T * h), a1 / (st + a0), h / a1) \
-        if a1 > st / sys.float_info.max else (T, 0.0, 1.0 / a0)
-    e = np.exp(T * (-1.5 * h))
-    wf = W * e
-    m0, m1, m2 = (float(np.dot(W, e)), float(np.dot(wf, y)),
-                  float(np.dot(wf * y, y)))
+    j = 0 if 2.0**-256 <= a0 <= 2.0**256 else math.frexp(a0)[1] // 2
+    A, B = math.ldexp(a0, -2 * j), math.ldexp(a1, -2 * j)
+    K, n = math.frexp(k_L)
+    st = math.sqrt(A - B) * math.sqrt(A + B)
+    h = 0.5 * math.log1p(2.0 * B / (A - B))
+    # Where st/B is 0/0 (a1 = 0) or overflows, the a1 -> 0 limit is exact.
+    if B > st / sys.float_info.max:
+        y = np.expm1(T * h)
+        y *= st / B
+        b, jac = B / (st + A), h / B
+    else:
+        y, b, jac = T, 0.0, 1.0 / A
+    # One buffer: e^(-1.5 h T), then wf, then wf y; the same products and
+    # dot sums as separate arrays, so the same bits.
+    e = T * (-1.5 * h)
+    np.exp(e, out=e)
+    m0 = float(W.dot(e))
+    e *= W
+    m1 = float(e.dot(y))
+    e *= y
+    m2 = float(e.dot(y))
     wx, wxx = m1 - b * m0, m2 - b * (2.0 * m1 - b * m0)
-    try:  # float ** raises OverflowError where * gives inf
-        pref = k_L * k_L * k_L / (8.0 * math.pi) * (jac * st**-1.5)
+    pref = K * K * K / (8.0 * math.pi) * (jac * st**-1.5)
+    shift = 3 * n - 5 * j
+    try:
+        return ShortPropagatorCoeffs(
+            math.ldexp(pref * 2.0 * (m0 - wxx), shift),
+            math.ldexp(pref * (m0 + wxx), shift),
+            math.ldexp(2.0 * pref * wx, shift))
     except OverflowError:
-        pref = math.inf
-    return _finite(ShortPropagatorCoeffs(
-        pref * 2.0 * (m0 - wxx), pref * (m0 + wxx), 2.0 * pref * wx),
-        a0, a1, k_L)
+        raise OutsideDomain(f"triple overflows at a0={a0}, a1={a1}, "
+                            f"k_L={k_L}") from None
 
 
 def coordinate_free_short_propagator(coeffs: ShortPropagatorCoeffs,

@@ -1,12 +1,15 @@
 """Tests for the scenario-runner CLI: config validation, run, sweep."""
 
+import contextlib
 import copy
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import atomlight
 from atomlight import cli, pointgas, propagator
@@ -21,7 +25,7 @@ from atomlight.cli import ANALYSES, load_config, main
 from atomlight.modes import MAX_ORDER
 from atomlight.errors import (AnalysisFailed, AtomLightError, BadParameterPath,
                               ConfigInvalid)
-from atomlight.cli import _analyse, _fmt, _resolve_path, sweep
+from atomlight.cli import _analyse, _cell, _resolve_path, sweep
 from atomlight.pointgas import (CorrelationEstimate, sample_clouds,
                                 scattering_sums, stream_keys)
 
@@ -443,6 +447,78 @@ class TestFiniteCells:
                 == np.array(unchecked[1][0]).tobytes()
 
 
+@st.composite
+def a0_a1_pairs(draw):
+    """physics.a0 and a1 from the whole float range, with pairs near the
+    edges of 0 <= a1 < a0 and near DBL_MAX."""
+    anywhere = st.floats() | st.floats(1e300, 1.7976931348623157e308)
+    a0 = draw(anywhere)
+    a1 = draw(anywhere | st.floats(0.0, 1.0).map(lambda f: f * a0)
+              | st.just(math.nextafter(a0, -math.inf)))
+    return a0, a1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=a0_a1_pairs())
+@example(pair=(1.7976931348623157e308, 1.7976931348623155e308))
+@example(pair=(1.7976931348623157e308, 0.0))
+@example(pair=(5e-324, 0.0))
+@example(pair=(1e-125, 0.0))
+@example(pair=(1e124, 3e123))
+@example(pair=(1.0, 1.0))
+@example(pair=(1.0, -5e-324))
+@example(pair=(-1.0, -2.0))
+@example(pair=(1e308, 1e-310))
+def test_rho_coefficients_writes_finite_cells_or_exits(pair):
+    """Each run exits 0 with every cell finite, or exits 2 or 3 with one
+    stderr line and no output directory."""
+    a0, a1 = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({"analyses": ["rho-coefficients"],
+                                    "physics": {"a0": a0, "a1": a1}}))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = quiet_main(["--out", str(out), "run", str(path)])
+        if code == 0:
+            assert err.getvalue() == ""
+            (row,) = read_csv_rows(out / "rho-coefficients.csv")
+            assert all(math.isfinite(float(v)) for v in row.values()), row
+        else:
+            assert code in (2, 3), pair
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert not out.exists()
+
+
+def csv_writer_line(row):
+    """The line csv.writer writes for row, each value first formatted to
+    17 significant digits if a float, else by str."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(
+        [format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue()
+
+
+CELL_VALUES = (st.floats(allow_subnormal=True)
+               | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                  5e-324, -2.2250738585072014e-308])
+               | st.integers() | st.booleans()
+               | st.text(st.sampled_from('ab ,"\r\n;\'\t()0')))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(row=st.lists(CELL_VALUES, min_size=1, max_size=8))
+@example(row=["fresnel(0,0)", 1.0, True, 3])
+@example(row=['say "hi"', "", "a\r\nb", "x\ry", "\n"])
+@example(row=["", ""])
+def test_cell_joins_to_csv_writer_line(row):
+    # csv.writer writes a row of one empty field as "" so that it reads
+    # back as a row; no CLI row is a single empty string.
+    assume(row != [""])
+    assert ",".join(map(_cell, row)) + "\r\n" == csv_writer_line(row)
+
+
 class TestUnreadableInput:
     """Input that is not a config or a number list exits 2, writing nothing."""
 
@@ -588,7 +664,7 @@ class TestRun:
                       "raw_mean", "raw_sem", "corrected_mean",
                       "corrected_sem", "self_term")}}
         assert read_csv_rows(out / "pointgas.csv") \
-            == [{k: _fmt(v) for k, v in expect.items()}]
+            == [{k: _cell(v) for k, v in expect.items()}]
 
     def test_pointgas_run_holds_no_batch(self, tmp_path, monkeypatch):
         n_atoms, n_clouds = 2000, 512
@@ -858,7 +934,7 @@ class TestSweepReuse:
                 row.update((f"{name}.{k}", v) for k, v in metrics.items())
             if not expected.tell():
                 writer.writerow(list(row))
-            writer.writerow([_fmt(v) for v in row.values()])
+            writer.writerow([_cell(v) for v in row.values()])
         text = (out / f"sweep_{param.replace('.', '_')}.csv").read_bytes()
         body = "".join(line for line in text.decode().splitlines(True)
                        if not line.startswith("#"))
@@ -926,11 +1002,11 @@ def fresh_memo_body(cfg, param, values):
     lines = []
     for value in values:
         node[key] = value
-        header, cells = [param], [_fmt(value)]
+        header, cells = [param], [_cell(value)]
         for name in cfg["analyses"]:
             metrics = _analyse(name, point, {})[0]
             header += (f"{name}.{k}" for k in metrics)
-            cells += (_fmt(v) for v in metrics.values())
+            cells += (_cell(v) for v in metrics.values())
         lines.append(cells)
     body = io.StringIO()
     csv.writer(body).writerows([header] + lines)

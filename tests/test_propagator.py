@@ -221,6 +221,44 @@ class TestAgainstNumpyScalarForms:
                 == bits(*quadrature_reference(a0, a1, k_L, rule)), (a0, a1)
 
 
+def separate_array_quadrature(a0, a1, k_L, rule):
+    """The oracle as it was written with an array per product: exp, W e,
+    W e y, each summed by np.dot, and k_L and a0 used unscaled."""
+    T, W = rule
+    st = math.sqrt(a0 - a1) * math.sqrt(a0 + a1)
+    h = 0.5 * math.log1p(2.0 * a1 / (a0 - a1))
+    y, b, jac = ((st / a1) * np.expm1(T * h), a1 / (st + a0), h / a1) \
+        if a1 > st / np.finfo(float).max else (T, 0.0, 1.0 / a0)
+    e = np.exp(T * (-1.5 * h))
+    wf = W * e
+    m0, m1, m2 = (float(np.dot(W, e)), float(np.dot(wf, y)),
+                  float(np.dot(wf * y, y)))
+    wx, wxx = m1 - b * m0, m2 - b * (2.0 * m1 - b * m0)
+    pref = k_L * k_L * k_L / (8.0 * math.pi) * (jac * st**-1.5)
+    return (pref * 2.0 * (m0 - wxx), pref * (m0 + wxx), 2.0 * pref * wx)
+
+
+class TestOneBufferOracle:
+    @pytest.mark.parametrize("a0", [1.0, 2.5, 1e-8, 1e8])
+    def test_bit_identical_to_separate_arrays(self, a0):
+        rule = np.polynomial.legendre.leggauss(128)
+        rng = np.random.default_rng(27)
+        edges = [0.0, 5e-324, 1e-300, math.nextafter(a0, 0.0)]
+        for a1 in edges + (a0 * rng.random(10_000)).tolist():
+            q = short_propagator_quadrature(a0, a1, 1.0)
+            assert bits(*q) == bits(*separate_array_quadrature(
+                a0, a1, 1.0, rule)), (a0, a1)
+
+    @pytest.mark.parametrize("a0", [1e130, 1e160, 1e200])
+    def test_large_a0_entries_match_closed_form(self, a0):
+        # jac * (s t)**-1.5 alone is below 1e-325 here, so the unscaled
+        # prefactor underflowed to 0.
+        c = short_propagator_closed(a0, 0.3 * a0, 1e100)
+        q = short_propagator_quadrature(a0, 0.3 * a0, 1e100)
+        for name, g, x in zip(q._fields, q, c):
+            assert abs(g - x) <= 1e-13 * abs(x), (name, g, x)
+
+
 def dipole_propagator_kspace(n_vec, k_L: float, k_max: float = 400.0,
                              n_radial: int = 400_000) -> np.ndarray:
     """Independent k-space route to the radiative dipole propagator.
