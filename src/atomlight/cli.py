@@ -316,8 +316,8 @@ def _analysis_rho(cfg: dict):
     c0, c1, c2 = short_propagator_closed(a0, a1, 1.0)
     q0, q1, q2 = short_propagator_quadrature(a0, a1, 1.0)
     # Rounding is monotone, so this is max(|c - q| / scale) bit for bit.
-    dev = max(abs(c0 - q0), abs(c1 - q1), abs(c2 - q2)) \
-        / max(abs(c0), abs(c1), abs(c2), 1e-300)
+    gap = max(abs(c0 - q0), abs(c1 - q1), abs(c2 - q2))
+    dev = gap / max(abs(c0), abs(c1), abs(c2)) if gap else 0.0
     return ({"max_rel_dev": dev, "rho_gamma_closed": c2},
             [(a0, a1, c0, c1, c2, q0, q1, q2, dev)], _RHO_COLUMNS)
 
@@ -358,6 +358,7 @@ def _analysis_memory(cfg: dict):
 
 
 @_reads("seed", "pointgas")
+@_finite("pointgas.size", "pointgas.delta_k")
 def _analysis_pointgas(cfg: dict):
     pg = cfg["pointgas"]
     est = density_correlation(pg["n_atoms"], pg["profile"], float(pg["size"]),

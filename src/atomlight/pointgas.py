@@ -15,25 +15,35 @@ index, equal to those of SeedSequence(seed).spawn(n), without building
 a SeedSequence or Philox object per stream.
 
 Cloud i is filled from stream i alone, so the clouds can be drawn in
-any order: each thread reseats one Philox to the key of each of its
-clouds.  Sampling and summing run over blocks of whole clouds of about
-2**16 atoms each, split over as many threads as the host gives this
-process cores.  A block is drawn, then scaled and shifted as a whole;
-its phases, cos and sin go into one complex buffer, summed along the
-atom axis per cloud.  sample_clouds returns the whole (n_clouds,
+any order and by any thread: each thread reseats one Philox to the key
+of each of its clouds.  Sampling and summing run over blocks of whole
+clouds of about 2**16 atoms each, split over as many threads as the
+host gives this process cores.  A block is drawn, then scaled and
+shifted as a whole; its phases, cos and sin go into one complex buffer,
+summed along the atom axis per cloud.  A cloud of few atoms costs more
+Python (the reseat and the fill call) than drawing, so the threads of
+one call draw such clouds one thread at a time, under one lock: the
+other threads sum in numpy code that releases the GIL, rather than
+pass the GIL back and forth at every cloud.  Larger clouds are drawn
+on all threads at once.  sample_clouds returns the whole (n_clouds,
 n_atoms, 3) batch and scattering_sums sums a given batch;
 sampled_scattering_sums draws and sums each block in buffers its
 thread reuses, and never holds the batch.  Every thread writes its own
-clouds, so the results do not depend on the thread count.
+clouds, so the results do not depend on the thread count or on which
+thread draws.  The threads run in copies of the caller's context, so
+its np.errstate holds in them too.
 density_correlation estimates from sampled_scattering_sums; a batch in
 memory goes through CorrelationEstimate.from_sums(scattering_sums(...)).
 """
 
 from __future__ import annotations
 
+import contextvars
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +126,26 @@ def stream_keys(seed: int, n: int) -> np.ndarray:
 # summing in blocks of 2**14 to 2**17 atoms took about the same time,
 # in blocks of 2**12 atoms longer.
 _BLOCK_ATOMS = 2**16
+# Clouds of fewer draws (3 n_atoms) are drawn by one thread at a time.
+# Time with the lock against time without it, on a 2-core host, for
+# 2**14 * 100 atoms in all (paired medians of 15 runs):
+#
+#   atoms  draws   sampled_scattering_sums   sample_clouds
+#                     box   gaussian          box  gaussian
+#      50    150      -30%      -28%      -10%    -26%
+#     100    300      -37%      -34%      -26%    -31%
+#     133    399      -29%      -23%      -23%     -6%
+#     134    402      -28%      -30%      -25%     +7%
+#     200    600      -15%       +4%      -18%    +67%
+#     400   1200       -3%       +5%      +17%    +70%
+#     800   2400       -2%       +4%      +60%    +85%
+#    1600   4800       +3%       +4%      +71%    +88%
+#
+# Gaussian draws cost more than uniform ones, so gaussian clouds lose
+# from the lock at fewer atoms than box clouds.  The cut sits at the
+# lowest crossover, gaussian sample_clouds; box clouds would gain up to
+# about 200 atoms.
+_SERIAL_DRAWS = 400
 
 
 def _thread_count() -> int:
@@ -133,9 +163,12 @@ def _over_blocks(n_clouds: int, n_atoms: int, start) -> None:
     may hold fewer.  Thread k of n takes blocks k, k + n, ...; it calls
     start(rows) once, for work that owns its buffers, then work(block)
     with the slice of clouds of each of its blocks.  A single block runs
-    on the calling thread.  The work runs numpy code that releases the
-    GIL and must call no public function of this package, so that a
-    tracer wrapping those functions sees them from one thread only.
+    on the calling thread.  Each thread runs in a copy of the caller's
+    context, so the caller's np.errstate holds in it.  The work runs
+    numpy code that releases the GIL, and draws small clouds under the
+    call's one lock (_cloud_drawer); it must call no public function of
+    this package, so that a tracer wrapping those functions sees them
+    from one thread only.
     """
     rows = max(1, _BLOCK_ATOMS // max(n_atoms, 1))
     n_blocks = -(-n_clouds // rows)
@@ -150,7 +183,8 @@ def _over_blocks(n_clouds: int, n_atoms: int, start) -> None:
         task(0, 1)
         return
     with ThreadPoolExecutor(n_threads) as pool:
-        futures = [pool.submit(task, k, n_threads) for k in range(n_threads)]
+        futures = [pool.submit(contextvars.copy_context().run, task, k,
+                               n_threads) for k in range(n_threads)]
         for future in futures:
             future.result()
 
@@ -178,23 +212,40 @@ def _as_keys(keys) -> np.ndarray:
     return keys
 
 
-def _cloud_drawer(fill: str, size: float, shift: float):
+def _draw_lock(n_atoms: int):
+    """The lock the threads of one call draw under, or none for big clouds."""
+    return threading.Lock() if 3 * n_atoms < _SERIAL_DRAWS else nullcontext()
+
+
+def _cloud_drawer(fill: str, size: float, shift: float, lock):
     """draw(keys, out): row j of out is the cloud of Philox key keys[j].
 
-    One Philox, reseated per row, fills the rows with the Generator
-    method `fill`; the block is then scaled and shifted as a whole.
+    One Philox per thread, reseated per row, fills the rows with the
+    Generator method `fill`; the block is then scaled and shifted as a
+    whole.  The fills run while the thread holds `lock`, which all the
+    threads of one call share for clouds of fewer than _SERIAL_DRAWS
+    draws (_draw_lock): a small cloud's reseat and fill call hold the
+    GIL longer than the fill releases it, so one thread draws a whole
+    block while the others sum theirs.  Scaling runs outside the lock.
+    Any thread may draw any cloud with the same bits, since each row
+    depends on its key alone.
     """
     bit_gen = np.random.Philox(0)
     # A fresh Philox state: zero counter, empty buffer, no spare uint32.
-    # Only the key changes from row to row.
+    # Only the key changes from row to row.  The state setter reads
+    # Python ints faster than the entries of uint64 arrays.
     state = bit_gen.state
+    philox = state["state"]
+    philox["counter"] = philox["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     fill_row = getattr(np.random.Generator(bit_gen), fill)
 
     def draw(keys, out):
-        for key, row in zip(keys, out):
-            state["state"]["key"] = key
-            bit_gen.state = state
-            fill_row(out=row)
+        with lock:
+            for key, row in zip(keys.tolist(), out):
+                philox["key"] = key
+                bit_gen.state = state
+                fill_row(out=row)
         out *= size
         out += shift
 
@@ -249,9 +300,10 @@ def sample_clouds(n_atoms: int, profile: str, size: float,
     fill, shift = _fill_rule(n_atoms, profile, size)
     keys = _as_keys(keys)
     out = np.empty((len(keys), n_atoms, 3))
+    lock = _draw_lock(n_atoms)
 
     def start(rows):
-        draw = _cloud_drawer(fill, size, shift)
+        draw = _cloud_drawer(fill, size, shift, lock)
         return lambda block: draw(keys[block], out[block])
 
     _over_blocks(len(keys), n_atoms, start)
@@ -292,9 +344,10 @@ def sampled_scattering_sums(n_atoms: int, profile: str, size: float,
     keys = _as_keys(keys)
     dk = np.asarray(delta_k, dtype=float)
     amps = np.empty(len(keys), dtype=complex)
+    lock = _draw_lock(n_atoms)
 
     def start(rows):
-        draw = _cloud_drawer(fill, size, shift)
+        draw = _cloud_drawer(fill, size, shift, lock)
         add_up, positions = _block_summer(rows, n_atoms, dk)
 
         def work(block):

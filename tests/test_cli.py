@@ -14,6 +14,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -488,6 +489,70 @@ def test_rho_coefficients_writes_finite_cells_or_exits(pair):
         else:
             assert code in (2, 3), pair
             assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert not out.exists()
+
+
+def run_pointgas(tmp, size, delta_k):
+    """Exit code, stderr and warnings of a small pointgas run under tmp."""
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps({
+        "analyses": ["pointgas"],
+        "pointgas": {"n_atoms": 5, "n_clouds": 16, "size": size,
+                     "delta_k": delta_k}}))
+    out = Path(tmp) / "out"
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as seen, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["--out", str(out), "run", str(path)])
+    return code, err.getvalue(), seen, out
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_pointgas_overflow_exits_3_at_any_thread_count(monkeypatch, tmp_path,
+                                                       threads):
+    # Blocks of one cloud: 16 blocks over `threads` threads.
+    monkeypatch.setattr(pointgas, "_thread_count", lambda: threads)
+    monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 5)
+    for profile in pointgas.PROFILES:
+        code, err, seen, out = run_pointgas(tmp_path, 1e300, [1e10, 0, 0])
+        assert code == 3
+        assert err == ("analysis error: no finite result at pointgas.size "
+                       "= 1e+300, pointgas.delta_k = [10000000000.0, 0, 0]\n")
+        assert not seen
+        assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(size=st.floats() | st.floats(1e150, 1.7976931348623157e308),
+       delta_k=st.lists(st.floats() | st.sampled_from([0.0, 1.0, -1e300]),
+                        min_size=3, max_size=3))
+@example(size=1e300, delta_k=[1e10, 0.0, 0.0])
+@example(size=1.7976931348623157e308, delta_k=[0.0, 0.0, 0.0])
+@example(size=1e200, delta_k=[1e-200, -1e-200, 5e-324])
+@example(size=5e-324, delta_k=[1.7976931348623157e308, 0.0, 0.0])
+@example(size=1.0, delta_k=[1e308, 1e308, 0.0])
+def test_pointgas_writes_finite_cells_or_exits(size, delta_k):
+    """Each run, drawn on four threads, exits 0 with every cell finite or
+    3 with one stderr line and no output directory, and prints no
+    warning; it exits 2 only where the config is invalid."""
+    invalid = not (math.isfinite(size) and size > 0) \
+        or not all(map(math.isfinite, delta_k))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(pointgas, "_thread_count", lambda: 4), \
+            mock.patch.object(pointgas, "_BLOCK_ATOMS", 10):
+        code, err, seen, out = run_pointgas(tmp, size, delta_k)
+        assert not seen, [str(w.message) for w in seen]
+        if code == 0:
+            assert err == ""
+            (row,) = read_csv_rows(out / "pointgas.csv")
+            assert all(math.isfinite(float(v)) for v in row.values()), row
+        else:
+            assert code in (2, 3), (size, delta_k)
+            assert (code == 2) == invalid
+            assert err.count("\n") == 1, err
+            if code == 3:
+                assert "pointgas.size" in err and "pointgas.delta_k" in err
             assert not out.exists()
 
 
@@ -1137,10 +1202,33 @@ class TestAnalysisRows:
             metrics = _analyse("rho-coefficients", cfg, {})[0]
             closed = propagator.short_propagator_closed(a0, a1, 1.0)
             quad = propagator.short_propagator_quadrature(a0, a1, 1.0)
-            scale = max(*map(abs, closed), 1e-300)
+            scale = max(map(abs, closed))
             expected = max(abs(x - y) / scale for x, y in zip(closed, quad))
             assert float(metrics["max_rel_dev"]).hex() \
                 == float(expected).hex(), (a0, a1)
+
+    # Where the closed triple is below 1e-300 (a0 above about 1e120), the
+    # gap is relative to the largest closed entry itself, not to 1e-300.
+    @pytest.mark.parametrize("a0, a1, low, high", [
+        (1e122, 0.0, 6e-15, 7e-15),
+        (1e126, 0.999999e126, 6e-14, 6.5e-14)])
+    def test_max_rel_dev_below_1e_300(self, a0, a1, low, high):
+        dev = _analyse("rho-coefficients",
+                       {"physics": {"a0": a0, "a1": a1}}, {})[0]["max_rel_dev"]
+        closed = propagator.short_propagator_closed(a0, a1, 1.0)
+        quad = propagator.short_propagator_quadrature(a0, a1, 1.0)
+        assert 0.0 < max(map(abs, closed)) < 1e-300
+        assert low < dev < high
+        assert dev == max(abs(x - y) for x, y in zip(closed, quad)) \
+            / max(map(abs, closed))
+
+    def test_max_rel_dev_of_triples_underflowing_to_zero(self):
+        a0 = 1.7976931348623157e308
+        a1 = math.nextafter(a0, 0.0)
+        metrics, rows, _ = _analyse("rho-coefficients",
+                                    {"physics": {"a0": a0, "a1": a1}}, {})
+        assert rows[0][2:8] == (0.0,) * 6
+        assert metrics["max_rel_dev"] == 0.0
 
     @pytest.mark.parametrize("name", ANALYSES)
     def test_rows_are_tuples_of_fieldnames_length(self, tmp_path, name):

@@ -1,6 +1,9 @@
 """Tests for the point-scatterer Monte Carlo statistics."""
 
 import sys
+import threading
+import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -36,6 +39,8 @@ def reference_sums(clouds, delta_k):
 
 
 BLOCK = pointgas._BLOCK_ATOMS
+# The fewest atoms per cloud that threads draw at the same time.
+PARALLEL_ATOMS = -(-pointgas._SERIAL_DRAWS // 3)
 DELTA_KS = ([0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [1e3, -7.0, 250.0])
 
 
@@ -202,6 +207,131 @@ class TestSampledScatteringSums:
         with pytest.raises(ValueError, match="keys"):
             sampled_scattering_sums(10, "box", 1.0, keys[:, :1],
                                     [1.0, 0.0, 0.0])
+
+
+class DrawWatch:
+    """Stands in for np.random.Generator and watches the drawer's fills.
+
+    Each fill records its thread and how many threads fill at once; with
+    `meet` set, the first fill of each thread waits for `meet` threads
+    to be filling.
+    """
+
+    def __init__(self, meet=None):
+        self.generator = np.random.Generator
+        self.lock = threading.Lock()
+        self.filling = self.most = 0
+        self.threads = set()
+        self.barrier = meet and threading.Barrier(meet, timeout=10)
+        self.met = threading.local()
+
+    def __call__(self, bit_gen):
+        gen = self.generator(bit_gen)
+        watch = self
+
+        class Fills:
+            def random(self, out):
+                watch.fill(gen.random, out)
+
+            def standard_normal(self, out):
+                watch.fill(gen.standard_normal, out)
+
+        return Fills()
+
+    def fill(self, method, out):
+        with self.lock:
+            self.filling += 1
+            self.most = max(self.most, self.filling)
+            self.threads.add(threading.get_ident())
+        try:
+            if self.barrier and not getattr(self.met, "done", False):
+                self.met.done = True
+                self.barrier.wait()
+            time.sleep(0)
+            method(out=out)
+        finally:
+            with self.lock:
+                self.filling -= 1
+
+
+@pytest.fixture
+def fast_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+class TestDrawLock:
+    """Small clouds are drawn by one thread at a time, with the same bits."""
+
+    @pytest.mark.parametrize("profile", pointgas.PROFILES)
+    @pytest.mark.parametrize("n_atoms", [2, PARALLEL_ATOMS - 1])
+    def test_small_clouds_drawn_by_one_thread_at_a_time(
+            self, monkeypatch, fast_switching, profile, n_atoms):
+        monkeypatch.setattr(pointgas, "_thread_count", lambda: 4)
+        monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 2 * n_atoms)
+        keys = stream_keys(3, 64)
+        for call in (lambda: sample_clouds(n_atoms, profile, 1.0, keys),
+                     lambda: sampled_scattering_sums(n_atoms, profile, 1.0,
+                                                     keys, [1.0, 0.0, 0.0])):
+            watch = DrawWatch()
+            monkeypatch.setattr(np.random, "Generator", watch)
+            call()
+            assert len(watch.threads) >= 2
+            assert watch.most == 1
+
+    @pytest.mark.parametrize("profile", pointgas.PROFILES)
+    def test_larger_clouds_drawn_at_the_same_time(self, monkeypatch,
+                                                  profile):
+        monkeypatch.setattr(pointgas, "_thread_count", lambda: 2)
+        monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 2 * PARALLEL_ATOMS)
+        keys = stream_keys(3, 16)
+        for call in (
+                lambda: sample_clouds(PARALLEL_ATOMS, profile, 1.0, keys),
+                lambda: sampled_scattering_sums(PARALLEL_ATOMS, profile, 1.0,
+                                                keys, [1.0, 0.0, 0.0])):
+            # Under one lock the second thread never reaches the barrier.
+            watch = DrawWatch(meet=2)
+            monkeypatch.setattr(np.random, "Generator", watch)
+            call()
+            assert watch.most == 2
+
+    @pytest.mark.parametrize("profile", pointgas.PROFILES)
+    @pytest.mark.parametrize("n_atoms", [
+        7, PARALLEL_ATOMS - 1, PARALLEL_ATOMS, 3 * PARALLEL_ATOMS])
+    def test_same_bytes_for_1_2_and_8_threads(self, monkeypatch,
+                                              fast_switching, profile,
+                                              n_atoms):
+        dk = [2.0, -1.0, 0.5]
+        ref = reference_clouds(n_atoms, profile, 1.3,
+                               spawned_generators(n_atoms, 40))
+        ref_sums = reference_sums(ref, dk)
+        keys = stream_keys(n_atoms, 40)
+        monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 3 * n_atoms)
+        for threads in (1, 2, 8):
+            monkeypatch.setattr(pointgas, "_thread_count", lambda: threads)
+            clouds = sample_clouds(n_atoms, profile, 1.3, keys)
+            assert clouds.tobytes() == ref.tobytes(), threads
+            sums = sampled_scattering_sums(n_atoms, profile, 1.3, keys, dk)
+            assert sums.tobytes() == ref_sums.tobytes(), threads
+
+    @pytest.mark.parametrize("fill", ["random", "standard_normal"])
+    def test_int_list_state_draws_as_array_state(self, fill):
+        keys = stream_keys(11, 20)
+        clouds = np.empty((len(keys), 50, 3))
+        pointgas._cloud_drawer(fill, 1.0, 0.0, nullcontext())(keys, clouds)
+        for key, cloud in zip(keys, clouds):
+            bit_gen = np.random.Philox(0)
+            state = bit_gen.state
+            state["state"]["key"] = key
+            bit_gen.state = state
+            want = np.empty((50, 3))
+            getattr(np.random.Generator(bit_gen), fill)(out=want)
+            assert cloud.tobytes() == want.tobytes()
+            keyed = getattr(np.random.Generator(np.random.Philox(key=key)),
+                            fill)
+            assert cloud.tobytes() == keyed((50, 3)).tobytes()
 
 
 class TestIntensities:
