@@ -43,7 +43,9 @@ point is checked before any point runs (see sweep).  An integral value
 such as 3.0 may set an integer field.  The swept path also decides
 reuse: a sweep re-evaluates at each point only the analyses that
 declare --param or a section holding it, and reuses every other
-result, and its rendered cells, from the first point.
+result, and its rendered cells, from the first point.  Each point
+still calls every listed analysis's runner once, and a runner that
+fails at a later point fails the sweep as at the first.
 A --values entry that is not a number, a config path that cannot be
 read as a file and a config that is not UTF-8 are config errors
 (exit 2), like a bad config value.
@@ -125,18 +127,21 @@ _FIELDS = {
 }
 
 
+def _passes(rule, value) -> bool:
+    """Whether value passes a _FIELDS rule."""
+    if isinstance(rule, range):
+        # Test the type first: `in` scans a range for a non-int.
+        return isinstance(value, int) and not isinstance(value, bool) \
+            and value in rule
+    return rule(value)
+
+
 def _check_field(cfg: dict, path: str) -> None:
     """Raise ConfigInvalid unless the value at path passes its _FIELDS rule."""
     _, rule, want = _FIELDS[path]
     section, _, key = path.rpartition(".")
     value = (cfg[section] if section else cfg)[key]
-    if isinstance(rule, range):
-        # Test the type first: `in` scans a range for a non-int.
-        ok = isinstance(value, int) and not isinstance(value, bool) \
-            and value in rule
-    else:
-        ok = rule(value)
-    if not ok:
+    if not _passes(rule, value):
         raise ConfigInvalid(f"{path} must be {want}: {value!r}")
 
 
@@ -215,8 +220,8 @@ def _provenance(cfg: dict, **swept) -> dict:
 
 def _cell(v) -> str:
     """A float to 17 digits, else str(v) quoted as csv.writer quotes it."""
-    if isinstance(v, float):
-        return format(v, ".17g")
+    if isinstance(v, float):  # np.float64 too
+        return "%.17g" % v
     text = str(v)
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
@@ -398,6 +403,11 @@ _RUNNERS = {
 }
 
 
+def _failed(name: str, exc: Exception) -> AnalysisFailed:
+    """The error a runner's non-atomlight exception becomes."""
+    return AnalysisFailed(f"analysis {name!r} failed: {exc}")
+
+
 def _analyse(name: str, cfg: dict, memo: dict):
     """Run one analysis; errors not raised by atomlight become AnalysisFailed.
 
@@ -408,7 +418,7 @@ def _analyse(name: str, cfg: dict, memo: dict):
     except AtomLightError:
         raise
     except Exception as exc:
-        raise AnalysisFailed(f"analysis {name!r} failed: {exc}") from exc
+        raise _failed(name, exc) from exc
 
 
 def run(cfg: dict, out_dir) -> dict:
@@ -456,8 +466,9 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
     either.  The first point passes all of _check_values; a later point
     differs from it only at param, so it passes param's _FIELDS rule
     alone, or _check_scenario for a scenario path, and an analysis reruns
-    only if it reads param or a section holding it.  A row is the value's
-    cell and each analysis's ",cell,..." text, rendered once per result.
+    only if it reads param or a section holding it.  Each point calls
+    every listed runner once, as _analyse does; a row is the value's cell
+    and each analysis's ",cell,..." text, rendered once per result.
     """
     values = list(values)
     point = copy.deepcopy(cfg)
@@ -472,28 +483,37 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
         if not i:
             _check_values(point)
         elif param in _FIELDS:
-            _check_field(point, param)
+            if not _passes(rule, setting):  # _check_field raises its message
+                _check_field(point, param)
         elif param.startswith("scenario."):
             _check_scenario(point)
     provenance = _provenance(cfg, param=param, values=values)
-    # An analysis listed twice gives its columns once.
-    names = dict.fromkeys(point["analyses"])
-    stale = [_RUNNERS[name].__name__ for name in names
+    # An analysis listed twice gives its columns once.  Slot i holds the
+    # i-th analysis's last result and its rendered text.
+    slots = [(i, name, _RUNNERS[name])
+             for i, name in enumerate(dict.fromkeys(point["analyses"]))]
+    stale = [runner.__name__ for _, _, runner in slots
              if any(p == param or param.startswith(p + ".")
-                    for p in _RUNNERS[name].reads)]
-    header, lines, memo, last = [param], [], {}, {}
+                    for p in runner.reads)]
+    header, lines, memo = [param], [], {}
+    shown, texts = [None] * len(slots), [""] * len(slots)
     for value, setting in zip(values, settings):
         node[key] = setting
         for runner_name in stale:
             memo.pop(runner_name, None)
-        for name in names:
-            result = _analyse(name, point, memo)
-            if last.get(name, (None,))[0] is not result:
-                if name not in last:
+        for i, name, runner in slots:
+            try:
+                result = runner(point, memo)
+            except AtomLightError:
+                raise
+            except Exception as exc:
+                raise _failed(name, exc) from exc
+            if result is not shown[i]:
+                if shown[i] is None:
                     header += (f"{name}.{k}" for k in result[0])
-                cells = map(_cell, result[0].values())
-                last[name] = result, ",".join(["", *cells])
-        lines.append(_cell(value) + "".join([last[n][1] for n in names]))
+                shown[i] = result
+                texts[i] = ",".join(["", *map(_cell, result[0].values())])
+        lines.append(_cell(value) + "".join(texts))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     safe = param.replace(".", "_")
@@ -502,14 +522,17 @@ def sweep(cfg: dict, param: str, values, out_dir) -> None:
 
 def _parse_values(text: str) -> list:
     """The comma-separated --values as floats; none for an empty string."""
-    values = []
-    for entry in text.split(",") if text else ():
+    entries = text.split(",") if text else []
+    try:
+        return list(map(float, entries))
+    except ValueError:
+        pass
+    for entry in entries:  # name the first entry that is not a number
         try:
-            values.append(float(entry))
+            float(entry)
         except ValueError:
             raise ConfigInvalid(
                 f"--values entry is not a number: {entry!r}") from None
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,9 @@ Python (the reseat and the fill call) than drawing, so the threads of
 one call draw such clouds one thread at a time, under one lock: the
 other threads sum in numpy code that releases the GIL, rather than
 pass the GIL back and forth at every cloud.  Larger clouds are drawn
-on all threads at once.  sample_clouds returns the whole (n_clouds,
+on all threads at once.  Gaussian draws cost more, so the cut is lower
+for them: box clouds of fewer than 300 atoms take the lock, gaussian
+clouds of fewer than 134.  sample_clouds returns the whole (n_clouds,
 n_atoms, 3) batch and scattering_sums sums a given batch;
 sampled_scattering_sums draws and sums each block in buffers its
 thread reuses, and never holds the batch.  Every thread writes its own
@@ -126,9 +128,10 @@ def stream_keys(seed: int, n: int) -> np.ndarray:
 # summing in blocks of 2**14 to 2**17 atoms took about the same time,
 # in blocks of 2**12 atoms longer.
 _BLOCK_ATOMS = 2**16
-# Clouds of fewer draws (3 n_atoms) are drawn by one thread at a time.
-# Time with the lock against time without it, on a 2-core host, for
-# 2**14 * 100 atoms in all (paired medians of 15 runs):
+# Clouds of fewer draws (3 n_atoms) than the cut of their fill method
+# are drawn by one thread at a time.  Time with the lock against time
+# without it, on a 2-core host, for 2**14 * 100 atoms in all (paired
+# medians of 15 runs):
 #
 #   atoms  draws   sampled_scattering_sums   sample_clouds
 #                     box   gaussian          box  gaussian
@@ -141,11 +144,28 @@ _BLOCK_ATOMS = 2**16
 #     800   2400       -2%       +4%      +60%    +85%
 #    1600   4800       +3%       +4%      +71%    +88%
 #
+# and, in a later set of runs, box clouds alone:
+#
+#   atoms  draws   sampled_scattering_sums   sample_clouds
+#     134    402      -24%                    -26%
+#     150    450      -31%                    -16%
+#     175    525      -20%                    -17%
+#     200    600      -30%                    -20%
+#     225    675      -21%                    -19%
+#     250    750      -32%                    -25%
+#     275    825      -29%                     -5%
+#     300    900       -9%                     -0%
+#     325    975      -15%                    -13%
+#     350   1050      -24%                    +37%
+#     400   1200      -18%                    +30%
+#
 # Gaussian draws cost more than uniform ones, so gaussian clouds lose
-# from the lock at fewer atoms than box clouds.  The cut sits at the
-# lowest crossover, gaussian sample_clouds; box clouds would gain up to
-# about 200 atoms.
-_SERIAL_DRAWS = 400
+# from the lock at fewer atoms than box clouds.  Each cut sits at the
+# lower crossover of its profile, sample_clouds: about 133 atoms for
+# gaussian clouds, and about 300 for box clouds (its sample_clouds time
+# at 300 to 350 atoms moved between -13% and +37% from one set of runs
+# to the next).
+_SERIAL_DRAWS = {"random": 900, "standard_normal": 400}
 
 
 def _thread_count() -> int:
@@ -212,9 +232,11 @@ def _as_keys(keys) -> np.ndarray:
     return keys
 
 
-def _draw_lock(n_atoms: int):
+def _draw_lock(n_atoms: int, fill: str):
     """The lock the threads of one call draw under, or none for big clouds."""
-    return threading.Lock() if 3 * n_atoms < _SERIAL_DRAWS else nullcontext()
+    if 3 * n_atoms < _SERIAL_DRAWS[fill]:
+        return threading.Lock()
+    return nullcontext()
 
 
 def _cloud_drawer(fill: str, size: float, shift: float, lock):
@@ -223,10 +245,11 @@ def _cloud_drawer(fill: str, size: float, shift: float, lock):
     One Philox per thread, reseated per row, fills the rows with the
     Generator method `fill`; the block is then scaled and shifted as a
     whole.  The fills run while the thread holds `lock`, which all the
-    threads of one call share for clouds of fewer than _SERIAL_DRAWS
-    draws (_draw_lock): a small cloud's reseat and fill call hold the
-    GIL longer than the fill releases it, so one thread draws a whole
-    block while the others sum theirs.  Scaling runs outside the lock.
+    threads of one call share for clouds of fewer draws than the
+    _SERIAL_DRAWS cut of `fill` (_draw_lock): a small cloud's reseat and
+    fill call hold the GIL longer than the fill releases it, so one
+    thread draws a whole block while the others sum theirs.  Scaling
+    runs outside the lock.
     Any thread may draw any cloud with the same bits, since each row
     depends on its key alone.
     """
@@ -300,7 +323,7 @@ def sample_clouds(n_atoms: int, profile: str, size: float,
     fill, shift = _fill_rule(n_atoms, profile, size)
     keys = _as_keys(keys)
     out = np.empty((len(keys), n_atoms, 3))
-    lock = _draw_lock(n_atoms)
+    lock = _draw_lock(n_atoms, fill)
 
     def start(rows):
         draw = _cloud_drawer(fill, size, shift, lock)
@@ -344,7 +367,7 @@ def sampled_scattering_sums(n_atoms: int, profile: str, size: float,
     keys = _as_keys(keys)
     dk = np.asarray(delta_k, dtype=float)
     amps = np.empty(len(keys), dtype=complex)
-    lock = _draw_lock(n_atoms)
+    lock = _draw_lock(n_atoms, fill)
 
     def start(rows):
         draw = _cloud_drawer(fill, size, shift, lock)

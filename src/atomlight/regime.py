@@ -68,6 +68,8 @@ class Scenario:
 
 def _is_finite(x) -> bool:
     """A finite real number, not a bool or an int too big for a float."""
+    if type(x) is float:  # the common case, without the numbers.Real check
+        return math.isfinite(x)
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
     try:

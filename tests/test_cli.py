@@ -3,10 +3,12 @@
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -25,7 +27,7 @@ from atomlight import cli, pointgas, propagator
 from atomlight.cli import ANALYSES, load_config, main
 from atomlight.modes import MAX_ORDER
 from atomlight.errors import (AnalysisFailed, AtomLightError, BadParameterPath,
-                              ConfigInvalid)
+                              ConfigInvalid, OutsideDomain)
 from atomlight.cli import _analyse, _cell, _resolve_path, sweep
 from atomlight.pointgas import (CorrelationEstimate, sample_clouds,
                                 scattering_sums, stream_keys)
@@ -492,6 +494,88 @@ def test_rho_coefficients_writes_finite_cells_or_exits(pair):
             assert not out.exists()
 
 
+DBL_MAX = 1.7976931348623157e308
+# Any float, NaN and +-inf included, with more draws of large and of
+# moderate magnitude.
+ANY_FLOAT = (st.floats() | st.floats(1e150, DBL_MAX)
+             | st.floats(-DBL_MAX, -1e150) | st.floats(-1e3, 1e3))
+
+
+def run_one(tmp, cfg):
+    """Exit code, stderr and output directory of a run of cfg under tmp,
+    with every warning raised as an error."""
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = Path(tmp) / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = quiet_main(["--out", str(out), "run", str(path)])
+    return code, err.getvalue(), out
+
+
+def check_finite_or_exits(code, err, out, name, invalid, given):
+    """Exit 0 with every cell of name.csv finite, 3 with one line naming
+    the analysis's _finite paths as given, or 2 iff the config is invalid;
+    a run that fails writes no output directory."""
+    if code == 0:
+        assert err == ""
+        (row,) = read_csv_rows(out / f"{name}.csv")
+        assert all(math.isfinite(float(v)) for v in row.values()), row
+        return
+    assert code in (2, 3), (code, err)
+    assert (code == 2) == invalid, err
+    assert err.count("\n") == 1, err
+    if code == 3:
+        assert err == f"analysis error: no finite result at {given}\n"
+    assert not out.exists()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c1=ANY_FLOAT, beta=ANY_FLOAT, column=ANY_FLOAT, k=ANY_FLOAT,
+       stokes_in=st.lists(ANY_FLOAT, min_size=3, max_size=3))
+@example(c1=1.0, beta=1e300, column=1e300, k=7.4e6, stokes_in=[1.0, 0, 0])
+@example(c1=1.0, beta=1e154, column=1e-6, k=1.0, stokes_in=[1.0, 0, 0])
+@example(c1=0.0, beta=1e300, column=1e300, k=1e300, stokes_in=[1.0, 0, 0])
+@example(c1=1.0, beta=1.0, column=1.0, k=1.0, stokes_in=[DBL_MAX, DBL_MAX, 0])
+@example(c1=-DBL_MAX, beta=DBL_MAX, column=5e-324, k=5e-324,
+         stokes_in=[1.0, 0, 0])
+@example(c1=1.0, beta=1.0, column=1.0, k=0.0, stokes_in=[1.0, 0, 0])
+def test_stokes_map_writes_finite_cells_or_exits(c1, beta, column, k,
+                                                 stokes_in):
+    physics = {"c1": c1, "beta": beta, "column_rho_jz": column,
+               "stokes_in": stokes_in}
+    invalid = not all(map(math.isfinite, [c1, beta, column, k, *stokes_in])) \
+        or not k > 0
+    given = ", ".join(f"physics.{key} = {value!r}"
+                      for key, value in physics.items()) + f", modes.k = {k!r}"
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, out = run_one(tmp, {"analyses": ["stokes-map"],
+                                       "physics": physics, "modes": {"k": k}})
+        check_finite_or_exits(code, err, out, "stokes-map", invalid, given)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kappa=ANY_FLOAT, gain=st.none() | ANY_FLOAT)
+@example(kappa=5e-324, gain=None)
+@example(kappa=1e-310, gain=None)
+@example(kappa=0.0, gain=None)
+@example(kappa=-0.0, gain=DBL_MAX)
+@example(kappa=1e77, gain=-DBL_MAX)
+@example(kappa=1e78, gain=None)
+@example(kappa=-DBL_MAX, gain=1.0)
+@example(kappa=math.inf, gain=None)
+@example(kappa=1.0, gain=math.nan)
+def test_memory_protocol_writes_finite_cells_or_exits(kappa, gain):
+    invalid = not math.isfinite(kappa) \
+        or gain is not None and not math.isfinite(gain)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, out = run_one(tmp, {
+            "analyses": ["memory-protocol"], "physics": {"gain": gain},
+            "scenario": {**BASE_CONFIG["scenario"], "kappa": kappa}})
+        check_finite_or_exits(code, err, out, "memory-protocol", invalid,
+                              f"scenario.kappa = {kappa!r}")
+
+
 def run_pointgas(tmp, size, delta_k):
     """Exit code, stderr and warnings of a small pointgas run under tmp."""
     path = Path(tmp) / "config.json"
@@ -582,6 +666,24 @@ def test_cell_joins_to_csv_writer_line(row):
     # back as a row; no CLI row is a single empty string.
     assume(row != [""])
     assert ",".join(map(_cell, row)) + "\r\n" == csv_writer_line(row)
+
+
+def float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(v=st.floats(allow_subnormal=True)
+       | st.integers(0, 2**64 - 1).map(float_of_bits)
+       | st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0,
+                          -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                          DBL_MAX, -DBL_MAX, 0.1, 1e16, 1e17, 123456789.0]))
+@example(v=float_of_bits(0x7FF8000000000001))  # a NaN with a payload
+@example(v=float_of_bits(0xFFF0000000000001))
+def test_percent_format_of_a_float_is_its_17_digit_format(v):
+    for x in (v, np.float64(v)):
+        assert "%.17g" % x == format(x, ".17g") == format(float(x), ".17g")
+        assert _cell(x) == format(float(x), ".17g")
 
 
 class TestUnreadableInput:
@@ -760,6 +862,43 @@ class TestRun:
         assert main(["--out", str(out), "run", str(path)]) == 3
         assert "analysis error" in capsys.readouterr().err
         assert not (out / "rho-coefficients.csv").exists()
+
+
+class TestSweepAnalysisErrors:
+    """A runner's error at a later point fails the sweep as at the first."""
+
+    @pytest.mark.parametrize("error, message", [
+        (ZeroDivisionError("boom"),
+         "analysis error: analysis 'rho-coefficients' failed: boom\n"),
+        (OutsideDomain("not here"), "analysis error: not here\n"),
+    ], ids=["other-error", "atomlight-error"])
+    def test_error_at_a_later_point(self, tmp_path, monkeypatch, capsys,
+                                    error, message):
+        rho = cli._RUNNERS["rho-coefficients"]
+
+        @functools.wraps(rho)
+        def failing(cfg, memo):
+            if cfg["physics"]["a1"] == 0.5:
+                raise error
+            return rho(cfg, memo)
+
+        monkeypatch.setitem(cli._RUNNERS, "rho-coefficients", failing)
+        path = write_config(tmp_path, analyses=["stokes-map",
+                                                "rho-coefficients", "regime"])
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep", str(path), "--param",
+                     "physics.a1", "--values", "0.1,0.2,0.5,0.6"]) == 3
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        cfg = load_config(path)
+        with pytest.raises(AtomLightError) as info:
+            sweep(cfg, "physics.a1", [0.1, 0.5], out)
+        if isinstance(error, AtomLightError):
+            assert info.value is error
+        else:
+            assert type(info.value) is AnalysisFailed
+            assert info.value.__cause__ is error
+        assert not out.exists()
 
 
 class TestSweep:

@@ -1,9 +1,11 @@
 """Tests for the point-scatterer Monte Carlo statistics."""
 
+import importlib.util
 import sys
 import threading
 import time
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,8 +41,14 @@ def reference_sums(clouds, delta_k):
 
 
 BLOCK = pointgas._BLOCK_ATOMS
-# The fewest atoms per cloud that threads draw at the same time.
-PARALLEL_ATOMS = -(-pointgas._SERIAL_DRAWS // 3)
+# The fill method of each profile, and the fewest atoms per cloud that
+# threads draw at the same time.
+FILLS = {p: pointgas._fill_rule(1, p, 1.0)[0] for p in pointgas.PROFILES}
+PARALLEL_ATOMS = {p: -(-pointgas._SERIAL_DRAWS[FILLS[p]] // 3)
+                  for p in pointgas.PROFILES}
+# Cloud sizes just below and at each profile's cut.
+NEAR_CUTS = sorted({n for cut in PARALLEL_ATOMS.values()
+                    for n in (cut - 1, cut)})
 DELTA_KS = ([0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [1e3, -7.0, 250.0])
 
 
@@ -265,8 +273,9 @@ def fast_switching():
 class TestDrawLock:
     """Small clouds are drawn by one thread at a time, with the same bits."""
 
-    @pytest.mark.parametrize("profile", pointgas.PROFILES)
-    @pytest.mark.parametrize("n_atoms", [2, PARALLEL_ATOMS - 1])
+    @pytest.mark.parametrize("n_atoms, profile", [
+        (n, p) for n in (2, *NEAR_CUTS) for p in pointgas.PROFILES
+        if n < PARALLEL_ATOMS[p]])
     def test_small_clouds_drawn_by_one_thread_at_a_time(
             self, monkeypatch, fast_switching, profile, n_atoms):
         monkeypatch.setattr(pointgas, "_thread_count", lambda: 4)
@@ -284,12 +293,13 @@ class TestDrawLock:
     @pytest.mark.parametrize("profile", pointgas.PROFILES)
     def test_larger_clouds_drawn_at_the_same_time(self, monkeypatch,
                                                   profile):
+        n_atoms = PARALLEL_ATOMS[profile]
         monkeypatch.setattr(pointgas, "_thread_count", lambda: 2)
-        monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 2 * PARALLEL_ATOMS)
+        monkeypatch.setattr(pointgas, "_BLOCK_ATOMS", 2 * n_atoms)
         keys = stream_keys(3, 16)
         for call in (
-                lambda: sample_clouds(PARALLEL_ATOMS, profile, 1.0, keys),
-                lambda: sampled_scattering_sums(PARALLEL_ATOMS, profile, 1.0,
+                lambda: sample_clouds(n_atoms, profile, 1.0, keys),
+                lambda: sampled_scattering_sums(n_atoms, profile, 1.0,
                                                 keys, [1.0, 0.0, 0.0])):
             # Under one lock the second thread never reaches the barrier.
             watch = DrawWatch(meet=2)
@@ -297,9 +307,36 @@ class TestDrawLock:
             call()
             assert watch.most == 2
 
+    def test_lock_per_profile(self):
+        # Box clouds of 134 to 299 atoms draw under the lock; gaussian
+        # clouds of as many atoms do not.
+        for n_atoms, box, gaussian in [(2, True, True), (133, True, True),
+                                       (134, True, False), (299, True, False),
+                                       (300, False, False),
+                                       (20000, False, False)]:
+            for profile, locked in (("box", box), ("gaussian", gaussian)):
+                lock = pointgas._draw_lock(n_atoms, FILLS[profile])
+                assert (type(lock) is not nullcontext) == locked, \
+                    (n_atoms, profile)
+
+    def test_no_pointgas_run_shape_crosses_a_cut(self, monkeypatch):
+        # Each shape of the pointgas-run benchmark is drawn the same way
+        # under either profile's cut.
+        path = Path(__file__).resolve().parents[1] / "perfbench" \
+            / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for n_atoms, _, profile, _ in workloads.SHAPES:
+            sides = {3 * n_atoms < cut
+                     for cut in pointgas._SERIAL_DRAWS.values()}
+            assert len(sides) == 1, (n_atoms, profile)
+
     @pytest.mark.parametrize("profile", pointgas.PROFILES)
     @pytest.mark.parametrize("n_atoms", [
-        7, PARALLEL_ATOMS - 1, PARALLEL_ATOMS, 3 * PARALLEL_ATOMS])
+        7, *NEAR_CUTS, *sorted(3 * n for n in PARALLEL_ATOMS.values())])
     def test_same_bytes_for_1_2_and_8_threads(self, monkeypatch,
                                               fast_switching, profile,
                                               n_atoms):

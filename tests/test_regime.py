@@ -1,9 +1,16 @@
 """Tests for the validity-regime checker."""
 
+import math
+import numbers
+import struct
+from fractions import Fraction
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomlight.modes import MAX_ORDER
-from atomlight.regime import (RegimeCheck, Scenario, check_fresnel,
+from atomlight.regime import (RegimeCheck, Scenario, _is_finite, check_fresnel,
                               check_fresnel_basis, check_light_series,
                               check_spin_series, fresnel_number)
 
@@ -149,3 +156,40 @@ class TestScenarioValidation:
 def test_report_holds_checks_only():
     report = check_light_series(anchor_scenario())
     assert list(vars(report)) == ["checks"]
+
+
+def is_finite_slow_path(x) -> bool:
+    """_is_finite without its fast path for exact floats."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+FLOATS = (st.floats(allow_subnormal=True)
+          | st.integers(0, 2**64 - 1).map(
+              lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
+
+
+class TestIsFinite:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(x=FLOATS | FLOATS.map(np.float64) | st.booleans()
+           | st.integers() | st.integers(2**1023, 2**1100)
+           | st.integers(-2**1100, -2**1023)
+           | st.fractions() | st.fractions().map(lambda f: f * 2**1030)
+           | st.sampled_from([None, "1.0", [1.0], 1j, np.float32(np.inf),
+                              np.int64(3), Fraction(2**1100, 3)]))
+    def test_agrees_with_slow_path(self, x):
+        assert _is_finite(x) is is_finite_slow_path(x)
+
+    @pytest.mark.parametrize("x, want", [
+        (0.0, True), (-0.0, True), (5e-324, True), (math.nan, False),
+        (math.inf, False), (-math.inf, False), (np.float64(1.5), True),
+        (np.float64(np.nan), False), (True, False), (2**1024, False),
+        (2**1024 - 2**971, True), (Fraction(1, 3), True),
+        (Fraction(2**1100, 3), False)],
+        ids=lambda v: repr(v) if len(repr(v)) < 20 else type(v).__name__)
+    def test_values(self, x, want):
+        assert _is_finite(x) is want
